@@ -646,7 +646,7 @@ pub fn exec_mode_ab(cfg: &ExpConfig) -> ExecModeReport {
             format!("{:.3}", ps),
         ]);
     }
-    cross.print("sim-vs-wall crossover — pipelining moves wall time, never sim time");
+    cross.print("sim-vs-wall crossover — wall and simulated time per exec mode and node count");
     if !report.pipelined_not_slower {
         eprintln!(
             "warning: pipelined wall {:.2} ms > barrier {:.2} ms — noisy host?",

@@ -1,6 +1,7 @@
+use crate::graph::mask_type;
 use crate::{AgreementGraph, SetLabel};
 use asj_geom::Point;
-use asj_grid::{AreaClass, CellCoord, QuartetId};
+use asj_grid::{AreaClass, CellCoord, Quadrant, QuartetId};
 
 /// Aggregate statistics over a stream of point assignments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,6 +31,64 @@ impl AssignStats {
     }
 }
 
+// Layout of one dispatch byte (see `dispatch_word`).
+/// `MeDuPAr`: push the horizontal / vertical side neighbor.
+const PUSH_H: u8 = 1;
+const PUSH_V: u8 = 1 << 1;
+/// `MeDuPAr` diagonal (2 bits): never (0), when the point is within ε of
+/// the reference point, or always (a matching side edge is marked: the
+/// redirect of §4.5.2).
+const DIAG_SHIFT: u32 = 2;
+const DIAG_NEAR: u8 = 1;
+const DIAG_ALWAYS: u8 = 2;
+/// `SupAr` target via the horizontal (bits 4–5) and vertical (bits 6–7) side
+/// neighbor `j`: none (0), `j`'s diagonal (the native cell's other side
+/// neighbor), or the native cell's diagonal.
+const SUP_SHIFT: u32 = 4;
+const SUP_OTHER_SIDE: u8 = 1;
+const SUP_DIAGONAL: u8 = 2;
+
+/// The Figure-9 dispatch word of a quartet with type mask `types` and edge
+/// bits `bits`: byte `2·quadrant + label` holds everything `MeDuPAr`
+/// (Algorithm 3) and `SupAr` (Algorithm 4) decide for a native cell in that
+/// quadrant and a point of that label, leaving only the geometric tests to
+/// [`AgreementGraph::assign`]. Lock bits are ignored: they never affect
+/// assignment.
+pub(crate) fn dispatch_word(types: u8, bits: u32) -> u64 {
+    let marked = |a: Quadrant, b: Quadrant| bits & AgreementGraph::bit(a, b) != 0;
+    let mut word = 0u64;
+    for me in Quadrant::ALL {
+        let (h, v, d) = (me.horizontal(), me.vertical(), me.diagonal());
+        for label in SetLabel::BOTH {
+            let is = |a: Quadrant, b: Quadrant| mask_type(types, a, b) == label;
+            let mut byte = 0u8;
+            if is(me, h) && !marked(me, h) {
+                byte |= PUSH_H;
+            }
+            if is(me, v) && !marked(me, v) {
+                byte |= PUSH_V;
+            }
+            if is(me, d) && !marked(me, d) {
+                let side_marked = [h, v].iter().any(|&j| is(me, j) && marked(me, j));
+                byte |= if side_marked { DIAG_ALWAYS } else { DIAG_NEAR } << DIAG_SHIFT;
+            }
+            for (slot, j) in [h, v].into_iter().enumerate() {
+                if is(j, me) || !marked(j, me) {
+                    continue;
+                }
+                let target = [(SUP_OTHER_SIDE, j.diagonal()), (SUP_DIAGONAL, d)]
+                    .into_iter()
+                    .find(|&(_, k)| is(me, k) && !marked(me, k) && !is(j, k) && !marked(j, k));
+                if let Some((code, _)) = target {
+                    byte |= code << (SUP_SHIFT + 2 * slot as u32);
+                }
+            }
+            word |= (byte as u64) << (8 * (2 * me.index() + label.index()));
+        }
+    }
+    word
+}
+
 impl AgreementGraph {
     /// Algorithm 2 of the paper: assigns point `o` of dataset `label` to its
     /// native cell plus every cell it must be replicated to under the
@@ -40,12 +99,15 @@ impl AgreementGraph {
     ///
     /// 1. *No-replication area* — native cell only.
     /// 2. *Merged duplicate-prone area* of quartet `q` — `MeDuPAr`
-    ///    (Algorithm 3) for `q`, then `SupAr` (Algorithm 4) for the two
-    ///    adjacent quartets `q'`, `q''`.
+    ///    (Algorithm 3) for `q`, then `SupAr` (Algorithm 4) for `q` and the
+    ///    two adjacent quartets `q'`, `q''`.
     /// 3. *Plain replication area* — replicate across the single border when
     ///    the agreement type matches, then `SupAr` for the two quartets at
     ///    the ends of that border.
     ///
+    /// The per-quartet decisions of `MeDuPAr` and `SupAr` are read from the
+    /// quartet's precomputed dispatch byte; per point only the geometric
+    /// tests run, and only when the byte calls for them.
     pub fn assign(&self, o: Point, label: SetLabel, out: &mut Vec<CellCoord>) {
         out.clear();
         let grid = self.grid();
@@ -62,14 +124,34 @@ impl AgreementGraph {
                     out.push(neighbor);
                 }
                 for q in sup_quartets.into_iter().flatten() {
-                    self.sup_ar(q, o, label, native, out);
+                    let me = self.native_quadrant(native, q);
+                    self.sup_ar(q, me, self.dispatch_byte(q, me, label), o, out);
                 }
             }
             AreaClass::CornerSquare {
-                quartet,
+                quartet: q,
                 sup_quartets,
             } => {
-                self.me_du_par(quartet, o, label, native, out);
+                // MeDuPAr (Algorithm 3).
+                let me = self.native_quadrant(native, q);
+                let byte = self.dispatch_byte(q, me, label);
+                if byte & PUSH_H != 0 {
+                    out.push(self.quartet_cell(q, me.horizontal()));
+                }
+                if byte & PUSH_V != 0 {
+                    out.push(self.quartet_cell(q, me.vertical()));
+                }
+                let diag = match (byte >> DIAG_SHIFT) & 3 {
+                    DIAG_ALWAYS => true,
+                    DIAG_NEAR => {
+                        let eps = grid.eps();
+                        o.dist2(grid.corner_point(q)) <= eps * eps
+                    }
+                    _ => false,
+                };
+                if diag {
+                    out.push(self.quartet_cell(q, me.diagonal()));
+                }
                 // A merged-square point may sit in a supplementary area of
                 // its *own* quartet (Figure 6: the part of the square beyond
                 // ε of the reference point): when a neighbor's marked edge
@@ -78,9 +160,10 @@ impl AgreementGraph {
                 // cell. Algorithm 2 as printed only probes the adjacent
                 // quartets q' and q''; probing q as well is required for
                 // correctness (see DESIGN.md, faithfulness notes).
-                self.sup_ar(quartet, o, label, native, out);
+                self.sup_ar(q, me, byte, o, out);
                 for q in sup_quartets.into_iter().flatten() {
-                    self.sup_ar(q, o, label, native, out);
+                    let me = self.native_quadrant(native, q);
+                    self.sup_ar(q, me, self.dispatch_byte(q, me, label), o, out);
                 }
             }
         }
@@ -92,6 +175,64 @@ impl AgreementGraph {
             },
             "assignment produced duplicate cells: {out:?}"
         );
+    }
+
+    /// The quadrant of `native` in quartet `q`, which must contain it.
+    #[inline]
+    fn native_quadrant(&self, native: CellCoord, q: QuartetId) -> Quadrant {
+        self.grid()
+            .quadrant_of(native, q)
+            .expect("native cell must belong to quartet")
+    }
+
+    /// The dispatch byte of quartet `q` for a native cell in quadrant `me`
+    /// and a point of `label`.
+    #[inline]
+    fn dispatch_byte(&self, q: QuartetId, me: Quadrant, label: SetLabel) -> u8 {
+        let word = self.quartet_dispatch(self.grid().quartet_index(q));
+        (word >> (8 * (2 * me.index() + label.index()))) as u8
+    }
+
+    /// Algorithm 4 (`SupAr`): replication of a point located in a
+    /// *supplementary area* of quartet `q` (Definition 4.10), its native cell
+    /// in quadrant `me`, driven by the dispatch byte.
+    ///
+    /// For each side neighbor `j` of the native cell within ε of the point
+    /// (with the reference point within 2ε): if the `j → native` edge carries
+    /// the *other* dataset and is marked, the duplicate-prone points of `j`
+    /// that this point pairs with were excluded from the native cell; the
+    /// point must follow them to the meeting cell — the quartet cell whose
+    /// edges from both the native cell (matching type, unmarked) and from `j`
+    /// (other type, unmarked) are intact. Candidates are probed in the
+    /// paper's order: the remaining side neighbor of the native cell first,
+    /// then its diagonal. The byte holds the outcome of that probe per `j`.
+    #[inline]
+    fn sup_ar(&self, q: QuartetId, me: Quadrant, byte: u8, o: Point, out: &mut Vec<CellCoord>) {
+        let sup = byte >> SUP_SHIFT;
+        if sup == 0 {
+            return;
+        }
+        // The 2ε test against the reference point is already done: the
+        // classification only reports adjacent quartets within 2ε, and a
+        // merged-square point is within √2·ε of its own quartet's.
+        let grid = self.grid();
+        let eps = grid.eps();
+        for (slot, j) in [me.horizontal(), me.vertical()].into_iter().enumerate() {
+            let k = match (sup >> (2 * slot)) & 3 {
+                SUP_OTHER_SIDE => j.diagonal(),
+                SUP_DIAGONAL => me.diagonal(),
+                _ => continue,
+            };
+            if grid.cell_rect(self.quartet_cell(q, j)).mindist2(o) > eps * eps {
+                continue;
+            }
+            let ck = self.quartet_cell(q, k);
+            // MeDuPAr may already have replicated the point here (its push
+            // conditions on e(me→k) are identical).
+            if !out.contains(&ck) {
+                out.push(ck);
+            }
+        }
     }
 
     /// The *simplified, non-duplicate-free* assignment evaluated in Table 6
@@ -130,6 +271,44 @@ impl AgreementGraph {
             }
         }
     }
+}
+
+/// The Figure-9 dispatch evaluated from scratch for every point — the
+/// reference the table-driven [`AgreementGraph::assign`] must reproduce cell
+/// for cell, order included.
+#[cfg(test)]
+impl AgreementGraph {
+    pub(crate) fn assign_figure9(&self, o: Point, label: SetLabel, out: &mut Vec<CellCoord>) {
+        out.clear();
+        let grid = self.grid();
+        let native = grid.cell_of(o);
+        out.push(native);
+        match grid.classify_in_cell(o, native) {
+            AreaClass::Interior => {}
+            AreaClass::PlainStrip {
+                neighbor,
+                sup_quartets,
+                ..
+            } => {
+                if self.pair_type(native, neighbor) == label {
+                    out.push(neighbor);
+                }
+                for q in sup_quartets.into_iter().flatten() {
+                    self.sup_ar_ref(q, o, label, native, out);
+                }
+            }
+            AreaClass::CornerSquare {
+                quartet,
+                sup_quartets,
+            } => {
+                self.me_du_par_ref(quartet, o, label, native, out);
+                self.sup_ar_ref(quartet, o, label, native, out);
+                for q in sup_quartets.into_iter().flatten() {
+                    self.sup_ar_ref(q, o, label, native, out);
+                }
+            }
+        }
+    }
 
     /// Algorithm 3 (`MeDuPAr`): replication of a point located in the merged
     /// duplicate-prone area of quartet `q`.
@@ -141,7 +320,7 @@ impl AgreementGraph {
     ///   reference point, or one of the matching side edges is marked — the
     ///   *redirect* that sends excluded duplicate-prone points to the cell
     ///   where their partners will meet them (§4.5.2, Figure 6).
-    fn me_du_par(
+    fn me_du_par_ref(
         &self,
         q: QuartetId,
         o: Point,
@@ -172,19 +351,8 @@ impl AgreementGraph {
         }
     }
 
-    /// Algorithm 4 (`SupAr`): replication of a point located in a
-    /// *supplementary area* of quartet `q` (Definition 4.10).
-    ///
-    /// For each side neighbor `j` of the native cell within ε of the point
-    /// (with the reference point within 2ε): if the `j → native` edge carries
-    /// the *other* dataset and is marked, the duplicate-prone points of `j`
-    /// that this point pairs with were excluded from the native cell; the
-    /// point must follow them to the meeting cell — the quartet cell whose
-    /// edges from both the native cell (matching type, unmarked) and from `j`
-    /// (other type, unmarked) are intact. Candidates are probed in the
-    /// paper's order: the remaining side neighbor of the native cell first,
-    /// then its diagonal.
-    fn sup_ar(
+    /// Algorithm 4 (`SupAr`) for quartet `q`, probed from scratch.
+    fn sup_ar_ref(
         &self,
         q: QuartetId,
         o: Point,

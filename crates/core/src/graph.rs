@@ -35,10 +35,24 @@ pub struct EdgeState {
 ///   **per quartet**, because a marking refers to the duplicate-prone area at
 ///   that quartet's reference point.
 ///
-/// Storage is dense (indexed by the grid's cell/quartet indices), which makes
-/// the per-point lookups of Algorithms 2–4 cache-friendly: the paper's two
-/// dictionaries (§5.1) become three type arrays plus one `u32` of edge bits
-/// per quartet.
+/// Storage is indexed by the grid's cell/quartet indices: the paper's two
+/// dictionaries (§5.1) become three type arrays plus, per quartet, one `u32`
+/// of edge bits and one `u64` *dispatch word*.
+///
+/// * [`AgreementGraph::build`] fills the type arrays **sparsely**. A cell
+///   without sampled points has zero totals and zero border counts, so every
+///   policy gives a pair of two such cells the same type
+///   ([`AgreementPolicy::empty_pair_type`]); the policy is evaluated only on
+///   the pairs that touch an occupied cell.
+/// * Algorithm 1 skips **uniform** quartets (all six pair types equal): they
+///   contain no mixed triangle, so nothing in them can ever be marked.
+/// * The dispatch word caches what Figure 9's `MeDuPAr`/`SupAr` decide for
+///   each of the quartet's 4 quadrants × 2 labels (one byte each; see
+///   `assign.rs`). It is a pure function of the quartet's six types and
+///   marked bits, refreshed whenever a marking changes, so
+///   [`AgreementGraph::assign`] reads one word per quartet instead of
+///   re-deriving the dispatch per point. Uniform quartets share one of two
+///   canonical words.
 ///
 /// # Example
 ///
@@ -74,6 +88,31 @@ pub struct AgreementGraph {
     /// Per-quartet edge bits: bit `from·4+to` = marked,
     /// bit `16+from·4+to` = locked.
     state: Vec<u32>,
+    /// Per-quartet Figure-9 dispatch word, derived from the quartet's types
+    /// and marked bits (see [`crate::assign`]).
+    dispatch: Vec<u64>,
+}
+
+/// Bit of a quartet's [type mask](AgreementGraph::quartet_types) holding the
+/// pair `(a, b)`: 0/1 the south/north side pair, 2/3 the west/east side pair,
+/// 4 the SW–NE and 5 the SE–NW diagonal. Indexed by [`Quadrant::index`].
+const PAIR_BIT: [[u8; 4]; 4] = [[0, 0, 2, 4], [0, 0, 5, 3], [2, 5, 0, 1], [4, 3, 1, 0]];
+
+/// Type mask of a quartet whose six pairs are all `S`.
+pub(crate) const ALL_S: u8 = 0x3F;
+
+/// Agreement type of the pair `(a, b)` in a quartet type mask.
+#[inline]
+pub(crate) fn mask_type(types: u8, a: Quadrant, b: Quadrant) -> SetLabel {
+    debug_assert_ne!(a, b);
+    SetLabel::from_index((types >> PAIR_BIT[a.index()][b.index()]) as usize & 1)
+}
+
+/// Where the type of one adjacent cell pair is stored.
+enum PairSlot {
+    H(usize),
+    V(usize),
+    D(usize, usize),
 }
 
 impl AgreementGraph {
@@ -85,7 +124,7 @@ impl AgreementGraph {
     /// Panics if the grid does not satisfy the `l > 2ε` precondition
     /// ([`Grid::supports_agreements`]).
     pub fn build(grid: &Grid, sample: &GridSample, policy: AgreementPolicy) -> Self {
-        let mut g = Self::from_pair_types(grid, |a, b| policy.agreement_type(grid, sample, a, b));
+        let mut g = Self::build_unmarked(grid, sample, policy);
         crate::markings::build_duplicate_free(&mut g, sample);
         g
     }
@@ -93,8 +132,42 @@ impl AgreementGraph {
     /// Builds the graph with policy-chosen agreement types but **without**
     /// running Algorithm 1 — the "simplified" variant of Table 6 whose
     /// assignment produces duplicates and needs a deduplication operator.
+    ///
+    /// Every pair starts at [`AgreementPolicy::empty_pair_type`]; the policy
+    /// is then evaluated only on the (up to 8) pairs around each cell with
+    /// sampled points. The result equals
+    /// `from_pair_types(grid, |a, b| policy.agreement_type(grid, sample, a, b))`.
     pub fn build_unmarked(grid: &Grid, sample: &GridSample, policy: AgreementPolicy) -> Self {
-        Self::from_pair_types(grid, |a, b| policy.agreement_type(grid, sample, a, b))
+        assert_eq!(
+            sample.num_cells(),
+            grid.num_cells(),
+            "sample covers a different grid"
+        );
+        let mut g = Self::filled(grid, policy.empty_pair_type());
+        let (nx, ny) = (grid.nx() as i64, grid.ny() as i64);
+        for ci in sample.occupied_cells() {
+            let c = grid.cell_at(ci);
+            for (dx, dy) in (-1..=1).flat_map(|dy| (-1..=1).map(move |dx| (dx, dy))) {
+                let (x, y) = (c.x as i64 + dx, c.y as i64 + dy);
+                if (dx, dy) == (0, 0) || x < 0 || y < 0 || x >= nx || y >= ny {
+                    continue;
+                }
+                let n = CellCoord {
+                    x: x as u32,
+                    y: y as u32,
+                };
+                // Same argument order as `from_pair_types`: lower row first,
+                // then lower column.
+                let (a, b) = if (c.y, c.x) < (n.y, n.x) {
+                    (c, n)
+                } else {
+                    (n, c)
+                };
+                *g.pair_type_mut(a, b) = policy.agreement_type(grid, sample, a, b);
+            }
+        }
+        g.refresh_all_dispatch();
+        g
     }
 
     /// Builds an *unmarked* graph with explicitly given pair types. Exposed
@@ -105,43 +178,47 @@ impl AgreementGraph {
     where
         F: FnMut(CellCoord, CellCoord) -> SetLabel,
     {
+        let mut g = Self::filled(grid, SetLabel::R);
+        let (nx, ny) = (grid.nx(), grid.ny());
+        for y in 0..ny {
+            for x in 0..nx.saturating_sub(1) {
+                let (a, b) = (CellCoord { x, y }, CellCoord { x: x + 1, y });
+                *g.pair_type_mut(a, b) = pair_type(a, b);
+            }
+        }
+        for y in 0..ny.saturating_sub(1) {
+            for x in 0..nx {
+                let (a, b) = (CellCoord { x, y }, CellCoord { x, y: y + 1 });
+                *g.pair_type_mut(a, b) = pair_type(a, b);
+            }
+        }
+        for (qi, q) in grid.quartets().enumerate() {
+            let cells = grid.quartet_cells(q);
+            g.d_type[qi] = [
+                pair_type(cells[Quadrant::Sw.index()], cells[Quadrant::Ne.index()]),
+                pair_type(cells[Quadrant::Se.index()], cells[Quadrant::Nw.index()]),
+            ];
+        }
+        g.refresh_all_dispatch();
+        g
+    }
+
+    /// A graph whose every pair has type `t`, with nothing marked.
+    fn filled(grid: &Grid, t: SetLabel) -> Self {
         assert!(
             grid.supports_agreements(),
             "agreement graphs require cell side > 2*eps on every multi-cell axis"
         );
         let nx = grid.nx() as usize;
         let ny = grid.ny() as usize;
-        let mut h_type = Vec::with_capacity(nx.saturating_sub(1) * ny);
-        for y in 0..ny as u32 {
-            for x in 0..nx.saturating_sub(1) as u32 {
-                let a = CellCoord { x, y };
-                let b = CellCoord { x: x + 1, y };
-                h_type.push(pair_type(a, b));
-            }
-        }
-        let mut v_type = Vec::with_capacity(nx * ny.saturating_sub(1));
-        for y in 0..ny.saturating_sub(1) as u32 {
-            for x in 0..nx as u32 {
-                let a = CellCoord { x, y };
-                let b = CellCoord { x, y: y + 1 };
-                v_type.push(pair_type(a, b));
-            }
-        }
-        let mut d_type = Vec::with_capacity(grid.num_quartets());
-        for q in grid.quartets() {
-            let cells = grid.quartet_cells(q);
-            d_type.push([
-                pair_type(cells[Quadrant::Sw.index()], cells[Quadrant::Ne.index()]),
-                pair_type(cells[Quadrant::Se.index()], cells[Quadrant::Nw.index()]),
-            ]);
-        }
-        let state = vec![0u32; grid.num_quartets()];
+        let nq = grid.num_quartets();
         AgreementGraph {
             grid: grid.clone(),
-            h_type,
-            v_type,
-            d_type,
-            state,
+            h_type: vec![t; nx.saturating_sub(1) * ny],
+            v_type: vec![t; nx * ny.saturating_sub(1)],
+            d_type: vec![[t; 2]; nq],
+            state: vec![0; nq],
+            dispatch: vec![0; nq],
         }
     }
 
@@ -156,28 +233,90 @@ impl AgreementGraph {
     /// Panics (in debug builds) if the cells are not 8-adjacent.
     #[inline]
     pub fn pair_type(&self, a: CellCoord, b: CellCoord) -> SetLabel {
+        match self.pair_slot(a, b) {
+            PairSlot::H(i) => self.h_type[i],
+            PairSlot::V(i) => self.v_type[i],
+            PairSlot::D(i, d) => self.d_type[i][d],
+        }
+    }
+
+    fn pair_type_mut(&mut self, a: CellCoord, b: CellCoord) -> &mut SetLabel {
+        match self.pair_slot(a, b) {
+            PairSlot::H(i) => &mut self.h_type[i],
+            PairSlot::V(i) => &mut self.v_type[i],
+            PairSlot::D(i, d) => &mut self.d_type[i][d],
+        }
+    }
+
+    #[inline]
+    fn pair_slot(&self, a: CellCoord, b: CellCoord) -> PairSlot {
         let nx = self.grid.nx() as usize;
         let dx = b.x as i64 - a.x as i64;
         let dy = b.y as i64 - a.y as i64;
         debug_assert!(dx.abs() <= 1 && dy.abs() <= 1 && (dx, dy) != (0, 0));
         match (dx, dy) {
-            (_, 0) => {
-                let x = a.x.min(b.x) as usize;
-                self.h_type[a.y as usize * (nx - 1) + x]
-            }
-            (0, _) => {
-                let y = a.y.min(b.y) as usize;
-                self.v_type[y * nx + a.x as usize]
-            }
+            (_, 0) => PairSlot::H(a.y as usize * (nx - 1) + a.x.min(b.x) as usize),
+            (0, _) => PairSlot::V(a.y.min(b.y) as usize * nx + a.x as usize),
             _ => {
                 let q = QuartetId {
                     x: a.x.max(b.x),
                     y: a.y.max(b.y),
                 };
                 // SW–NE runs "/" upward-right; SE–NW runs "\" upward-left.
-                let idx = if dx == dy { 0 } else { 1 };
-                self.d_type[self.grid.quartet_index(q)][idx]
+                let d = if dx == dy { 0 } else { 1 };
+                PairSlot::D(self.grid.quartet_index(q), d)
             }
+        }
+    }
+
+    /// The six pair types of quartet `qi` as a bit mask (bit set = `S`;
+    /// bit positions per [`PAIR_BIT`]).
+    #[inline]
+    pub(crate) fn quartet_types(&self, qi: usize) -> u8 {
+        let q = self.grid.quartet_at(qi);
+        let nx = self.grid.nx() as usize;
+        let (x, y) = (q.x as usize - 1, q.y as usize - 1);
+        let s = |t: SetLabel| t.index() as u8;
+        let [d0, d1] = self.d_type[qi];
+        s(self.h_type[y * (nx - 1) + x])
+            | s(self.h_type[(y + 1) * (nx - 1) + x]) << 1
+            | s(self.v_type[y * nx + x]) << 2
+            | s(self.v_type[y * nx + x + 1]) << 3
+            | s(d0) << 4
+            | s(d1) << 5
+    }
+
+    /// Edge bits (marked and locked) of quartet `qi`.
+    #[inline]
+    pub(crate) fn quartet_state(&self, qi: usize) -> u32 {
+        self.state[qi]
+    }
+
+    /// Replaces the edge bits of quartet `qi` and refreshes its dispatch
+    /// word.
+    pub(crate) fn set_quartet_state(&mut self, qi: usize, bits: u32) {
+        self.state[qi] = bits;
+        self.dispatch[qi] = crate::assign::dispatch_word(self.quartet_types(qi), bits);
+    }
+
+    /// The Figure-9 dispatch word of quartet `qi`.
+    #[inline]
+    pub(crate) fn quartet_dispatch(&self, qi: usize) -> u64 {
+        self.dispatch[qi]
+    }
+
+    /// Recomputes every quartet's dispatch word; unmarked uniform quartets
+    /// take one of two canonical words.
+    fn refresh_all_dispatch(&mut self) {
+        let canonical = [0, ALL_S].map(|types| crate::assign::dispatch_word(types, 0));
+        for qi in 0..self.dispatch.len() {
+            let types = self.quartet_types(qi);
+            let bits = self.state[qi];
+            self.dispatch[qi] = match (types, bits) {
+                (0, 0) => canonical[0],
+                (ALL_S, 0) => canonical[1],
+                _ => crate::assign::dispatch_word(types, bits),
+            };
         }
     }
 
@@ -194,8 +333,10 @@ impl AgreementGraph {
         self.pair_type(self.quartet_cell(q, from), self.quartet_cell(q, to))
     }
 
+    /// Marked bit of the directed edge `from → to` in a quartet's edge bits
+    /// (the locked bit is this shifted left by 16).
     #[inline]
-    fn bit(from: Quadrant, to: Quadrant) -> u32 {
+    pub(crate) fn bit(from: Quadrant, to: Quadrant) -> u32 {
         debug_assert_ne!(from, to);
         1 << (from.index() * 4 + to.index())
     }
@@ -216,11 +357,13 @@ impl AgreementGraph {
         self.state[self.grid.quartet_index(q)] & Self::bit(from, to) != 0
     }
 
+    #[cfg(test)]
     pub(crate) fn mark(&mut self, q: QuartetId, from: Quadrant, to: Quadrant) {
         let qi = self.grid.quartet_index(q);
-        self.state[qi] |= Self::bit(from, to);
+        self.set_quartet_state(qi, self.state[qi] | Self::bit(from, to));
     }
 
+    #[cfg(test)]
     pub(crate) fn lock(&mut self, q: QuartetId, from: Quadrant, to: Quadrant) {
         let qi = self.grid.quartet_index(q);
         self.state[qi] |= Self::bit(from, to) << 16;
@@ -229,7 +372,8 @@ impl AgreementGraph {
     /// Serialized footprint of the graph when broadcast to the executors
     /// (Algorithm 5, line 6): grid header, one byte per side-pair agreement
     /// type, two per quartet for the diagonals, and the 4-byte edge-state
-    /// word per quartet.
+    /// word per quartet. The dispatch words are not counted: the receiver
+    /// derives them from these fields.
     pub fn broadcast_bytes(&self) -> u64 {
         (40 + self.h_type.len() + self.v_type.len() + 2 * self.d_type.len() + 4 * self.state.len())
             as u64
@@ -294,6 +438,35 @@ impl AgreementGraph {
             h[b.index()] += 1;
         }
         h
+    }
+}
+
+#[cfg(test)]
+impl AgreementGraph {
+    /// Panics unless both graphs agree on the grid shape, every pair type,
+    /// every edge bit and every dispatch word.
+    pub(crate) fn assert_identical(&self, other: &AgreementGraph, ctx: &str) {
+        let shape = |g: &AgreementGraph| (g.grid.nx(), g.grid.ny());
+        assert_eq!(shape(self), shape(other), "{ctx}: grid shape");
+        assert_eq!(self.h_type, other.h_type, "{ctx}: h_type");
+        assert_eq!(self.v_type, other.v_type, "{ctx}: v_type");
+        assert_eq!(self.d_type, other.d_type, "{ctx}: d_type");
+        assert_eq!(self.state, other.state, "{ctx}: state");
+        assert_eq!(self.dispatch, other.dispatch, "{ctx}: dispatch");
+    }
+
+    /// Panics unless every stored dispatch word equals one recomputed from
+    /// the quartet's current types and edge bits.
+    pub(crate) fn assert_dispatch_fresh(&self, ctx: &str) {
+        for qi in 0..self.dispatch.len() {
+            let want = crate::assign::dispatch_word(self.quartet_types(qi), self.state[qi]);
+            assert_eq!(
+                self.dispatch[qi],
+                want,
+                "{ctx}: stale dispatch word at {:?}",
+                self.grid.quartet_at(qi)
+            );
+        }
     }
 }
 

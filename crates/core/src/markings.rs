@@ -1,5 +1,6 @@
+use crate::graph::{mask_type, ALL_S};
 use crate::{AgreementGraph, Dir8, GridSample};
-use asj_grid::{Quadrant, QuartetId};
+use asj_grid::Quadrant;
 
 /// Algorithm 1 of the paper: *Duplicate-free Graph Generation*.
 ///
@@ -43,51 +44,66 @@ pub enum EdgeOrder {
 }
 
 /// [`build_duplicate_free`] with an explicit edge-visit order (ablation A2).
+///
+/// Uniform quartets (all six pair types equal) are skipped: without a mixed
+/// triangle no edge of theirs can qualify for marking, whatever the graph.
 pub fn build_duplicate_free_with_order(
     graph: &mut AgreementGraph,
     sample: &GridSample,
     order: EdgeOrder,
 ) {
-    let quartets: Vec<QuartetId> = graph.grid().quartets().collect();
-    for q in quartets {
-        process_quartet(graph, sample, q, order);
+    for qi in 0..graph.grid().num_quartets() {
+        let types = graph.quartet_types(qi);
+        if types != 0 && types != ALL_S {
+            process_quartet(graph, sample, qi, types, order);
+        }
     }
 }
 
-/// Weight of the directed edge `from → to` in quartet `q` (Example 4.4).
-pub(crate) fn edge_weight(
-    graph: &AgreementGraph,
+/// Algorithm 1 on every quartet, uniform ones included: the dense reference
+/// that the uniform-quartet skip must reproduce.
+#[cfg(test)]
+pub(crate) fn build_duplicate_free_dense(
+    graph: &mut AgreementGraph,
     sample: &GridSample,
-    q: QuartetId,
-    from: Quadrant,
-    to: Quadrant,
-) -> u64 {
-    let grid = graph.grid();
-    let cf = graph.quartet_cell(q, from);
-    let ct = graph.quartet_cell(q, to);
-    let tau = graph.pair_type(cf, ct);
-    let replicated = sample.border_count(grid.cell_index(cf), Dir8::between(cf, ct), tau);
-    let partners = sample.total(grid.cell_index(ct), tau.other());
-    replicated * partners
+    order: EdgeOrder,
+) {
+    for qi in 0..graph.grid().num_quartets() {
+        let types = graph.quartet_types(qi);
+        process_quartet(graph, sample, qi, types, order);
+    }
 }
 
+/// Runs Algorithm 1 on quartet `qi`, whose type mask is `types`.
 fn process_quartet(
     graph: &mut AgreementGraph,
     sample: &GridSample,
-    q: QuartetId,
+    qi: usize,
+    types: u8,
     order: EdgeOrder,
 ) {
+    let grid = graph.grid();
+    let cells = grid.quartet_cells(grid.quartet_at(qi));
+    let tau = |a: Quadrant, b: Quadrant| mask_type(types, a, b);
+    let marked = |bits: u32, a: Quadrant, b: Quadrant| bits & AgreementGraph::bit(a, b) != 0;
+
+    let mut weight = [[0u64; 4]; 4];
     // The 12 directed edges of the subgraph, ordered per `order`; index
     // order as the final deterministic tie-break.
-    let mut edges: Vec<(bool, u64, Quadrant, Quadrant)> = Vec::with_capacity(12);
+    let mut edges = [(false, 0u64, Quadrant::Sw, Quadrant::Sw); 12];
+    let mut n = 0;
     for from in Quadrant::ALL {
         for to in [from.horizontal(), from.vertical(), from.diagonal()] {
-            let is_side = from.side_adjacent(to);
-            let w = edge_weight(graph, sample, q, from, to);
-            edges.push((is_side, w, from, to));
+            let (cf, ct) = (cells[from.index()], cells[to.index()]);
+            let t = tau(from, to);
+            let w = sample.border_count(grid.cell_index(cf), Dir8::between(cf, ct), t)
+                * sample.total(grid.cell_index(ct), t.other());
+            weight[from.index()][to.index()] = w;
+            edges[n] = (from.side_adjacent(to), w, from, to);
+            n += 1;
         }
     }
-    edges.sort_by(|a, b| {
+    edges.sort_unstable_by(|a, b| {
         let group = match order {
             // Diagonals (false) before sides (true).
             EdgeOrder::DiagonalFirst => a.0.cmp(&b.0),
@@ -98,24 +114,25 @@ fn process_quartet(
             .then((a.2.index(), a.3.index()).cmp(&(b.2.index(), b.3.index())))
     });
 
+    let mut bits = graph.quartet_state(qi);
     for &(_, _, i, j) in &edges {
-        if graph.edge_state(q, i, j).locked {
-            continue;
+        if bits & AgreementGraph::bit(i, j) << 16 != 0 {
+            continue; // locked
         }
-        let tau = graph.edge_type(q, i, j);
+        let t = tau(i, j);
         // The two triangles containing edge (i, j).
         let mut best: Option<(u64, Quadrant)> = None;
         for k in Quadrant::ALL {
             if k == i || k == j {
                 continue;
             }
-            if graph.edge_type(q, i, k) != tau || graph.edge_type(q, j, k) == tau {
+            if tau(i, k) != t || tau(j, k) == t {
                 continue;
             }
-            if graph.is_marked(q, j, k) || graph.is_marked(q, i, k) {
+            if marked(bits, j, k) || marked(bits, i, k) {
                 continue;
             }
-            let w = edge_weight(graph, sample, q, j, k) + edge_weight(graph, sample, q, i, k);
+            let w = weight[j.index()][k.index()] + weight[i.index()][k.index()];
             // Prefer the triangle whose locked edges weigh more; ties go to
             // the lower quadrant index for determinism.
             let better = match best {
@@ -127,11 +144,12 @@ fn process_quartet(
             }
         }
         if let Some((_, k)) = best {
-            graph.mark(q, i, j);
-            graph.lock(q, j, k);
-            graph.lock(q, i, k);
+            // Mark e(i→j); lock e(j→k) and e(i→k).
+            bits |= AgreementGraph::bit(i, j)
+                | (AgreementGraph::bit(j, k) | AgreementGraph::bit(i, k)) << 16;
         }
     }
+    graph.set_quartet_state(qi, bits);
 }
 
 #[cfg(test)]
@@ -139,7 +157,7 @@ mod tests {
     use super::*;
     use crate::{AgreementPolicy, SetLabel};
     use asj_geom::Rect;
-    use asj_grid::{CellCoord, Grid, GridSpec};
+    use asj_grid::{CellCoord, Grid, GridSpec, QuartetId};
 
     fn quartet_grid() -> Grid {
         // Exactly one quartet: 2×2 cells of side 2.5, ε = 1.

@@ -665,3 +665,338 @@ fn exhaustive_two_quartets_all_type_assignments() {
         );
     }
 }
+
+/// Random points over the whole grid plus points within 2ε of random
+/// reference points, where `MeDuPAr` and `SupAr` do their work.
+fn probe_points(grid: &Grid, rng: &mut StdRng, n: usize) -> Vec<Point> {
+    let bbox = grid.bbox();
+    let eps = grid.eps();
+    (0..n)
+        .map(|i| {
+            if i % 2 == 0 || grid.num_quartets() == 0 {
+                Point::new(
+                    rng.gen_range(bbox.min_x..bbox.max_x),
+                    rng.gen_range(bbox.min_y..bbox.max_y),
+                )
+            } else {
+                let q = grid.quartet_at(rng.gen_range(0..grid.num_quartets()));
+                let c = grid.corner_point(q);
+                Point::new(
+                    c.x + rng.gen_range(-2.0 * eps..2.0 * eps),
+                    c.y + rng.gen_range(-2.0 * eps..2.0 * eps),
+                )
+            }
+        })
+        .collect()
+}
+
+/// The table-driven `assign` must return exactly the cells, in exactly the
+/// order, of the Figure-9 dispatch evaluated from scratch.
+fn assert_assign_matches_figure9(graph: &AgreementGraph, pts: &[Point], ctx: &str) {
+    let (mut fast, mut reference) = (Vec::new(), Vec::new());
+    for &p in pts {
+        for label in SetLabel::BOTH {
+            graph.assign(p, label, &mut fast);
+            graph.assign_figure9(p, label, &mut reference);
+            assert_eq!(fast, reference, "{ctx}: {label} point {p:?}");
+        }
+    }
+}
+
+/// `from_pair_types` with the policy closure followed by Algorithm 1 on
+/// every quartet: the dense construction the sparse build must reproduce.
+fn dense_reference(grid: &Grid, sample: &GridSample, policy: AgreementPolicy) -> AgreementGraph {
+    let mut g =
+        AgreementGraph::from_pair_types(grid, |a, b| policy.agreement_type(grid, sample, a, b));
+    crate::markings::build_duplicate_free_dense(&mut g, sample, crate::EdgeOrder::DiagonalFirst);
+    g
+}
+
+const POLICIES: [AgreementPolicy; 4] = [
+    AgreementPolicy::Lpib,
+    AgreementPolicy::Diff,
+    AgreementPolicy::UniformR,
+    AgreementPolicy::UniformS,
+];
+
+/// Sparse build == dense reference on every field, for every policy, plus
+/// the hazard and edge-count checks of `validate`.
+fn assert_sparse_equals_dense(grid: &Grid, sample: &GridSample, ctx: &str) {
+    for policy in POLICIES {
+        let ctx = format!("{ctx} {}", policy.name());
+        let sparse = AgreementGraph::build(grid, sample, policy);
+        let dense = dense_reference(grid, sample, policy);
+        sparse.assert_identical(&dense, &ctx);
+        let unmarked = AgreementGraph::build_unmarked(grid, sample, policy);
+        let dense_unmarked =
+            AgreementGraph::from_pair_types(grid, |a, b| policy.agreement_type(grid, sample, a, b));
+        unmarked.assert_identical(&dense_unmarked, &format!("{ctx} unmarked"));
+        let (vs, vd) = (sparse.validate(), dense.validate());
+        assert_eq!(vs.unresolved_hazards, 0, "{ctx}");
+        assert_eq!(vs.marked_edges, vd.marked_edges, "{ctx}");
+        assert_eq!(vs.locked_edges, vd.locked_edges, "{ctx}");
+    }
+}
+
+/// A skewed sample over `grid`: an R cluster, an S cluster elsewhere and
+/// some uniform noise of both sets.
+fn skewed_sample(grid: &Grid, rng: &mut StdRng, n: usize) -> GridSample {
+    let bbox = grid.bbox();
+    let mut sample = GridSample::new(grid);
+    let center = |rng: &mut StdRng| {
+        (
+            rng.gen_range(bbox.min_x..bbox.max_x),
+            rng.gen_range(bbox.min_y..bbox.max_y),
+        )
+    };
+    let (rc, sc) = (center(rng), center(rng));
+    let spread = rng.gen_range(0.5..4.0);
+    for i in 0..n {
+        let label = if rng.gen_bool(0.5) {
+            SetLabel::R
+        } else {
+            SetLabel::S
+        };
+        let p = if i % 5 == 0 {
+            Point::new(
+                rng.gen_range(bbox.min_x..bbox.max_x),
+                rng.gen_range(bbox.min_y..bbox.max_y),
+            )
+        } else {
+            let (cx, cy) = if label == SetLabel::R { rc } else { sc };
+            Point::new(
+                (cx + rng.gen_range(-spread..spread)).clamp(bbox.min_x, bbox.max_x),
+                (cy + rng.gen_range(-spread..spread)).clamp(bbox.min_y, bbox.max_y),
+            )
+        };
+        sample.add(grid, label, p);
+    }
+    sample
+}
+
+/// An `nx × ny` grid of cells of side 2.5 with ε = 1.24 (exact for up to
+/// ~120 cells per axis).
+fn grid_of(nx: u32, ny: u32) -> Grid {
+    let grid = Grid::new(GridSpec::new(
+        Rect::new(0.0, 0.0, nx as f64 * 2.5, ny as f64 * 2.5),
+        1.24,
+    ));
+    assert_eq!((grid.nx(), grid.ny()), (nx, ny));
+    grid
+}
+
+#[test]
+fn sparse_build_on_empty_samples_and_strips() {
+    for (nx, ny) in [(1, 1), (1, 7), (7, 1), (2, 2), (9, 6)] {
+        let grid = grid_of(nx, ny);
+        assert_sparse_equals_dense(&grid, &GridSample::new(&grid), &format!("empty {nx}x{ny}"));
+        let mut rng = StdRng::seed_from_u64((nx * 31 + ny) as u64);
+        let sample = skewed_sample(&grid, &mut rng, 60);
+        assert_sparse_equals_dense(&grid, &sample, &format!("skewed {nx}x{ny}"));
+        let graph = AgreementGraph::build(&grid, &sample, AgreementPolicy::Lpib);
+        let pts = probe_points(&grid, &mut rng, 400);
+        assert_assign_matches_figure9(&graph, &pts, &format!("{nx}x{ny}"));
+    }
+}
+
+/// The uniform-quartet skip is exact on arbitrary (test-instantiated)
+/// graphs, not only on policy graphs.
+#[test]
+fn uniform_skip_matches_dense_sweep_on_bit_graphs() {
+    let grid = Grid::new(GridSpec::new(Rect::new(0.0, 0.0, 6.3, 4.2), 1.0));
+    let pairs = adjacent_pairs(&grid);
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let sample = skewed_sample(&grid, &mut rng, 80);
+    for bits in 0..(1u64 << pairs.len()) {
+        let types = |a: CellCoord, b: CellCoord| {
+            let key = if (a.y, a.x) <= (b.y, b.x) {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            let idx = pairs.iter().position(|p| *p == key).unwrap();
+            if bits >> idx & 1 == 0 {
+                SetLabel::R
+            } else {
+                SetLabel::S
+            }
+        };
+        let mut skipped = AgreementGraph::from_pair_types(&grid, types);
+        crate::build_duplicate_free(&mut skipped, &sample);
+        let mut dense = AgreementGraph::from_pair_types(&grid, types);
+        crate::markings::build_duplicate_free_dense(
+            &mut dense,
+            &sample,
+            crate::EdgeOrder::DiagonalFirst,
+        );
+        skipped.assert_identical(&dense, &format!("bits={bits:#013b}"));
+    }
+}
+
+/// Marking refreshes the dispatch word of its quartet, so the table-driven
+/// `assign` keeps following the Figure-9 reference on mutated graphs (the
+/// path of `oracle_detects_corrupted_graphs`).
+#[test]
+fn mark_refreshes_dispatch_words() {
+    let mut rng = StdRng::seed_from_u64(0xD15A);
+    let grid = Grid::new(GridSpec::new(Rect::new(0.0, 0.0, 9.0, 9.0), 1.0));
+    let pairs = adjacent_pairs(&grid);
+    let types: Vec<SetLabel> = (0..pairs.len())
+        .map(|_| {
+            if rng.gen_bool(0.5) {
+                SetLabel::R
+            } else {
+                SetLabel::S
+            }
+        })
+        .collect();
+    let mut graph = AgreementGraph::from_pair_types(&grid, |a, b| {
+        let key = if (a.y, a.x) <= (b.y, b.x) {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        types[pairs.iter().position(|p| *p == key).unwrap()]
+    });
+    let pts = probe_points(&grid, &mut rng, 300);
+    // Unmarked, then with random markings that leave hazards in place (where
+    // both `SupAr` targets can qualify, so their probe order shows), then
+    // after Algorithm 1, then after each spurious marking.
+    graph.assert_dispatch_fresh("unmarked");
+    assert_assign_matches_figure9(&graph, &pts, "unmarked");
+    for round in 0..20 {
+        let mut random = graph.clone();
+        for q in grid.quartets() {
+            for from in asj_grid::Quadrant::ALL {
+                for to in [from.horizontal(), from.vertical(), from.diagonal()] {
+                    if rng.gen_bool(0.3) {
+                        random.mark(q, from, to);
+                    }
+                }
+            }
+        }
+        let ctx = format!("random marks round={round}");
+        random.assert_dispatch_fresh(&ctx);
+        assert_assign_matches_figure9(&random, &pts, &ctx);
+    }
+    crate::build_duplicate_free(&mut graph, &GridSample::new(&grid));
+    graph.assert_dispatch_fresh("algorithm 1");
+    assert_assign_matches_figure9(&graph, &pts, "algorithm 1");
+    for q in grid.quartets() {
+        for from in asj_grid::Quadrant::ALL {
+            for to in [from.horizontal(), from.vertical(), from.diagonal()] {
+                let mut mutant = graph.clone();
+                mutant.mark(q, from, to);
+                let ctx = format!("mark {q:?} {from:?}->{to:?}");
+                mutant.assert_dispatch_fresh(&ctx);
+                assert_assign_matches_figure9(&mutant, &pts, &ctx);
+            }
+        }
+    }
+}
+
+/// FNV-1a digest of every quartet's marked and locked edges, over the
+/// public `edge_state` accessor.
+fn edge_state_digest(graph: &AgreementGraph) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for q in graph.grid().quartets() {
+        for from in asj_grid::Quadrant::ALL {
+            for to in [from.horizontal(), from.vertical(), from.diagonal()] {
+                let st = graph.edge_state(q, from, to);
+                h = (h ^ (st.marked as u64 | (st.locked as u64) << 1))
+                    .wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// Algorithm 1's markings on a fixed skewed instance, pinned to digests
+/// recorded from the straightforward per-edge implementation: any change to
+/// the edge weights, the visit order or the tie-breaks moves them.
+#[test]
+fn algorithm1_markings_match_recorded_digests() {
+    let grid = grid_of(40, 30);
+    let mut rng = StdRng::seed_from_u64(0xA161);
+    let sample = skewed_sample(&grid, &mut rng, 3000);
+    let mut got = Vec::new();
+    for order in [
+        crate::EdgeOrder::DiagonalFirst,
+        crate::EdgeOrder::WeightOnly,
+    ] {
+        for policy in [AgreementPolicy::Lpib, AgreementPolicy::Diff] {
+            let mut graph = AgreementGraph::build_unmarked(&grid, &sample, policy);
+            crate::build_duplicate_free_with_order(&mut graph, &sample, order);
+            got.push((
+                graph.marked_edge_count(),
+                graph.locked_edge_count(),
+                edge_state_digest(&graph),
+            ));
+        }
+    }
+    // (marked, locked, digest) for LPiB and DIFF under DiagonalFirst, then
+    // under WeightOnly.
+    let want = [
+        (1454, 2365, 6_850_260_295_650_042_311),
+        (1326, 2128, 8_933_392_350_871_656_727),
+        (1443, 2225, 5_269_194_117_060_274_776),
+        (1320, 2024, 14_007_495_835_497_332_453),
+    ];
+    assert_eq!(got, want);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The sparse build equals the dense reference on every field, for all
+    /// four policies, on random skewed samples over random grid shapes
+    /// (strips included).
+    #[test]
+    fn prop_sparse_build_equals_dense_reference(
+        nx in 1u32..=20,
+        ny in 1u32..=20,
+        n in 0usize..400,
+        seed in 0u64..1_000_000,
+    ) {
+        let grid = grid_of(nx, ny);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sample = skewed_sample(&grid, &mut rng, n);
+        assert_sparse_equals_dense(&grid, &sample, &format!("{nx}x{ny} n={n} seed={seed}"));
+    }
+
+    /// The table-driven `assign` equals the Figure-9 reference, order
+    /// included, on single-quartet bit graphs with random weights.
+    #[test]
+    fn prop_assign_matches_figure9_on_bit_graphs(
+        bits in 0u64..64,
+        seed in 0u64..1_000_000,
+    ) {
+        let grid = quartet_grid();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sample = skewed_sample(&grid, &mut rng, 64);
+        let graph = graph_from_bits(&grid, &sample, bits);
+        let pts = probe_points(&grid, &mut rng, 200);
+        assert_assign_matches_figure9(&graph, &pts, &format!("bits={bits} seed={seed}"));
+    }
+
+    /// Same on policy graphs over random grid shapes and skewed samples.
+    #[test]
+    fn prop_assign_matches_figure9_on_policy_graphs(
+        nx in 1u32..=12,
+        ny in 1u32..=12,
+        seed in 0u64..1_000_000,
+    ) {
+        let grid = grid_of(nx, ny);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sample = skewed_sample(&grid, &mut rng, 300);
+        let pts = probe_points(&grid, &mut rng, 300);
+        for policy in POLICIES {
+            let graph = AgreementGraph::build(&grid, &sample, policy);
+            assert_assign_matches_figure9(
+                &graph,
+                &pts,
+                &format!("{} {nx}x{ny} seed={seed}", policy.name()),
+            );
+        }
+    }
+}

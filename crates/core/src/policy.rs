@@ -55,6 +55,20 @@ impl AgreementPolicy {
             AgreementPolicy::Diff => diff(grid, sample, a, b),
         }
     }
+
+    /// The type this policy gives a pair of two cells without sampled points
+    /// (zero totals, zero border counts): `S` for UNI(S), `R` otherwise.
+    /// [`crate::AgreementGraph::build`] fills every pair with it and
+    /// evaluates the policy only on pairs touching an occupied cell, so it
+    /// must equal [`AgreementPolicy::agreement_type`] on an empty sample.
+    pub fn empty_pair_type(self) -> SetLabel {
+        match self {
+            AgreementPolicy::UniformS => SetLabel::S,
+            AgreementPolicy::Lpib | AgreementPolicy::Diff | AgreementPolicy::UniformR => {
+                SetLabel::R
+            }
+        }
+    }
 }
 
 /// Replication candidates of `label` crossing the `(a, b)` border, from both
@@ -210,6 +224,36 @@ mod tests {
             AgreementPolicy::Diff.agreement_type(&g, &s, b, a),
             SetLabel::R
         );
+    }
+
+    /// The sparse graph build relies on this: a pair of sample-empty cells
+    /// gets `empty_pair_type()` without consulting the policy.
+    #[test]
+    fn empty_pair_type_matches_policy_on_empty_sample() {
+        let g = grid();
+        let s = GridSample::new(&g);
+        let c = |x, y| CellCoord { x, y };
+        let pairs = [
+            (c(1, 1), c(2, 1)),
+            (c(1, 1), c(1, 2)),
+            (c(1, 1), c(2, 2)),
+            (c(2, 1), c(1, 2)),
+        ];
+        for policy in [
+            AgreementPolicy::Lpib,
+            AgreementPolicy::Diff,
+            AgreementPolicy::UniformR,
+            AgreementPolicy::UniformS,
+        ] {
+            for (a, b) in pairs {
+                assert_eq!(
+                    policy.agreement_type(&g, &s, a, b),
+                    policy.empty_pair_type(),
+                    "{} on {a:?}-{b:?}",
+                    policy.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -89,25 +89,32 @@ impl GridSample {
         IS: IntoIterator<Item = Point>,
     {
         let mut sample = GridSample::new(grid);
+        let mut neighbors = Vec::with_capacity(4);
         for p in r {
-            sample.add(grid, SetLabel::R, p);
+            sample.add_with(grid, SetLabel::R, p, &mut neighbors);
         }
         for p in s {
-            sample.add(grid, SetLabel::S, p);
+            sample.add_with(grid, SetLabel::S, p, &mut neighbors);
         }
         sample
     }
 
     /// Records one sampled point.
     pub fn add(&mut self, grid: &Grid, label: SetLabel, p: Point) {
+        self.add_with(grid, label, p, &mut Vec::new());
+    }
+
+    /// [`GridSample::add`] with a caller-owned scratch buffer for the
+    /// neighbor cells.
+    fn add_with(&mut self, grid: &Grid, label: SetLabel, p: Point, neighbors: &mut Vec<CellCoord>) {
         let cell = grid.cell_of(p);
         let ci = grid.cell_index(cell);
         let li = label.index();
         self.totals[ci][li] += 1;
         self.sampled[li] += 1;
-        let mut neighbors = Vec::with_capacity(4);
-        grid.push_cells_within_eps(p, &mut neighbors);
-        for n in neighbors {
+        neighbors.clear();
+        grid.push_cells_within_eps(p, neighbors);
+        for &n in neighbors.iter() {
             self.border[ci][Dir8::between(cell, n).index()][li] += 1;
         }
     }
@@ -131,6 +138,23 @@ impl GridSample {
         }
         self.sampled[0] += other.sampled[0];
         self.sampled[1] += other.sampled[1];
+    }
+
+    /// Number of cells the sample covers.
+    #[inline]
+    pub fn num_cells(&self) -> usize {
+        self.totals.len()
+    }
+
+    /// Indices of the cells holding at least one sampled point. Every other
+    /// cell has zero totals and zero border counts: a point is only ever
+    /// counted in its own cell.
+    pub fn occupied_cells(&self) -> impl Iterator<Item = usize> + '_ {
+        self.totals
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t[0] + t[1] > 0)
+            .map(|(i, _)| i)
     }
 
     /// Total sampled points of `label` in `cell`.
