@@ -143,7 +143,7 @@ fn main() {
             }
             "perf" | "shuffle-perf" => {
                 perf::shuffle_perf(&cfg);
-                perf::exec_mode_ab(&cfg);
+                perf::join_perf(&cfg);
             }
             "memory" | "memory-sweep" | "budget-sweep" => {
                 memory::memory_sweep(&cfg);

@@ -22,13 +22,17 @@
 //! Results land in a machine-readable `BENCH_shuffle.json` (wall-clock,
 //! simulated time, byte meters, pool counters, checksum) for the CI
 //! `perf-smoke` job; override the path with `ASJ_BENCH_OUT`.
+//!
+//! [`join_perf`] then times one payload-heavy ε-grid join end to end and
+//! writes `BENCH_perf.json`, whose result count and pair checksum CI diffs
+//! against `results/BENCH_perf.baseline.json`.
 
 use crate::runner::{run_once, NetModel};
 use crate::{ExpConfig, Table};
 use asj_data::{DatasetSpec, GenKind, PAPER_BBOX};
 use asj_engine::{
-    Cluster, ClusterConfig, ExecMode, ExplicitPartitioner, KeyedDataset, Partitioner, PoolStats,
-    ShuffleMode, ShuffleStats,
+    Cluster, ClusterConfig, ExplicitPartitioner, KeyedDataset, Partitioner, PoolStats, ShuffleMode,
+    ShuffleStats,
 };
 use asj_join::{to_records, Algorithm, JoinSpec, Record};
 use std::collections::HashMap;
@@ -404,41 +408,22 @@ pub fn shuffle_perf(cfg: &ExpConfig) -> PerfReport {
     report
 }
 
-/// One leg of the barrier-vs-pipelined executor A/B.
+/// Everything `BENCH_perf.json` reports for the end-to-end join leg.
 #[derive(Debug, Clone)]
-pub struct ExecLeg {
-    pub mode: &'static str,
-    /// Best-of-reps host wall time for the whole join, seconds.
-    pub wall_seconds: f64,
-    /// Best-of-reps simulated cluster time, seconds. Mode-independent by
-    /// construction: the pipeline's producers are unbilled driver work and
-    /// its consumers bill exactly like barrier tasks.
-    pub sim_seconds: f64,
-}
-
-/// Everything `BENCH_perf.json` reports for the executor A/B.
-#[derive(Debug, Clone)]
-pub struct ExecModeReport {
+pub struct JoinPerfReport {
     pub records: usize,
     pub nodes: usize,
     pub partitions: usize,
     pub reps: usize,
-    pub barrier: ExecLeg,
-    pub pipelined: ExecLeg,
-    /// `barrier.wall_seconds / pipelined.wall_seconds`.
-    pub speedup: f64,
-    /// FNV-1a over the sorted result pairs; identical for both modes by
+    /// Best-of-reps host wall time for the whole join, seconds.
+    pub wall_seconds: f64,
+    /// Best-of-reps simulated cluster time, seconds.
+    pub sim_seconds: f64,
+    /// FNV-1a over the sorted result pairs; identical on every rep by
     /// assertion, and machine-independent (it hashes ids, not timings), so
     /// CI can diff it against a committed baseline.
     pub join_checksum: u64,
     pub results: u64,
-    /// The perf-smoke gate: pipelined must not lose wall time to barrier on
-    /// this shuffle-heavy configuration.
-    pub pipelined_not_slower: bool,
-    /// Sim-vs-wall crossover: `(nodes, barrier_wall, pipelined_wall,
-    /// barrier_sim, pipelined_sim)` — wall time diverges with the pipeline,
-    /// sim time does not.
-    pub crossover: Vec<(usize, f64, f64, f64, f64)>,
 }
 
 /// FNV-1a 64-bit over result pairs in order (callers sort first so the
@@ -461,76 +446,24 @@ pub(crate) fn checksum_pairs(pairs: &[(u64, u64)]) -> u64 {
     h
 }
 
-/// Times the ε-grid join end to end in one executor mode: best-of-reps wall
-/// and simulated seconds plus the sorted result pairs of the last rep.
-fn time_exec_leg(
-    mode: ExecMode,
-    nodes: usize,
-    spec: &JoinSpec,
-    r: &[Record],
-    s: &[Record],
-    reps: usize,
-) -> (ExecLeg, Vec<(u64, u64)>) {
-    let cluster = Cluster::new(ClusterConfig::new(nodes)).with_exec_mode(mode);
-    let mut best_wall = f64::INFINITY;
-    let mut best_sim = f64::INFINITY;
-    let mut pairs = Vec::new();
-    for _ in 0..reps {
-        let start = Instant::now();
-        let out = Algorithm::EpsGrid.run(&cluster, spec, r.to_vec(), s.to_vec());
-        best_wall = best_wall.min(start.elapsed().as_secs_f64());
-        best_sim = best_sim.min(out.metrics.simulated_time().as_secs_f64());
-        pairs = out.pairs;
-    }
-    pairs.sort_unstable();
-    (
-        ExecLeg {
-            mode: mode.name(),
-            wall_seconds: best_wall,
-            sim_seconds: best_sim,
-        },
-        pairs,
-    )
-}
-
-fn json_exec_leg(leg: &ExecLeg) -> String {
-    format!(
-        "{{\"mode\":\"{}\",\"wall_seconds\":{:.6},\"sim_seconds\":{:.6}}}",
-        leg.mode, leg.wall_seconds, leg.sim_seconds
-    )
-}
-
-/// Hand-rolled JSON for the executor A/B — same flat, stable-key style as
+/// Hand-rolled JSON for the join leg — same flat, stable-key style as
 /// `BENCH_shuffle.json`. Timings are advisory; the committed baseline gates
-/// on the machine-independent fields (checksum, result count, booleans).
-fn render_exec_json(rep: &ExecModeReport) -> String {
-    let crossover: Vec<String> = rep
-        .crossover
-        .iter()
-        .map(|(nodes, bw, pw, bs, ps)| {
-            format!(
-                "{{\"nodes\":{nodes},\"barrier_wall\":{bw:.6},\"pipelined_wall\":{pw:.6},\
-                 \"barrier_sim\":{bs:.6},\"pipelined_sim\":{ps:.6}}}"
-            )
-        })
-        .collect();
+/// on the machine-independent fields (checksum, result count).
+fn render_join_json(rep: &JoinPerfReport) -> String {
     format!(
         concat!(
             "{{\n",
-            "  \"experiment\": \"exec_mode_perf\",\n",
+            "  \"experiment\": \"join_perf\",\n",
             "  \"records\": {},\n",
             "  \"payload_bytes\": {},\n",
             "  \"nodes\": {},\n",
             "  \"partitions\": {},\n",
             "  \"reps\": {},\n",
-            "  \"barrier\": {},\n",
-            "  \"pipelined\": {},\n",
-            "  \"speedup\": {:.4},\n",
+            "  \"wall_seconds\": {:.6},\n",
+            "  \"sim_seconds\": {:.6},\n",
             "  \"results\": {},\n",
             "  \"join_checksum\": \"{:016x}\",\n",
-            "  \"checksum_matches\": true,\n",
-            "  \"pipelined_not_slower\": {},\n",
-            "  \"crossover\": [{}]\n",
+            "  \"checksum_matches\": true\n",
             "}}\n"
         ),
         rep.records,
@@ -538,27 +471,23 @@ fn render_exec_json(rep: &ExecModeReport) -> String {
         rep.nodes,
         rep.partitions,
         rep.reps,
-        json_exec_leg(&rep.barrier),
-        json_exec_leg(&rep.pipelined),
-        rep.speedup,
+        rep.wall_seconds,
+        rep.sim_seconds,
         rep.results,
         rep.join_checksum,
-        rep.pipelined_not_slower,
-        crossover.join(","),
     )
 }
 
-/// The barrier-vs-pipelined executor A/B behind `repro perf`: the same
-/// payload-heavy ε-grid join (shuffle stitch dominates the driver) runs once
-/// per mode, results must be identical to the pair, and the crossover sweep
-/// shows wall time responding to the pipeline while simulated time stays
-/// mode-independent. Writes `BENCH_perf.json` (override: `ASJ_BENCH_PERF_OUT`).
-pub fn exec_mode_ab(cfg: &ExpConfig) -> ExecModeReport {
+/// The end-to-end join leg behind `repro perf`: a payload-heavy ε-grid join
+/// (the shuffle is a real fraction of the job) timed best-of-reps. Every
+/// rep must produce the same sorted pairs. Writes `BENCH_perf.json`
+/// (override: `ASJ_BENCH_PERF_OUT`).
+pub fn join_perf(cfg: &ExpConfig) -> JoinPerfReport {
     let records = cfg.base;
     let reps = cfg.reps.max(3);
     let gen = |seed: u64| {
         DatasetSpec {
-            name: "exec-ab",
+            name: "join-perf",
             kind: GenKind::Uniform,
             cardinality: records,
             seed,
@@ -567,96 +496,52 @@ pub fn exec_mode_ab(cfg: &ExpConfig) -> ExecModeReport {
         }
         .points()
     };
-    // Payload-carrying records make the shuffle (and therefore the stitch
-    // the pipeline overlaps) a real fraction of the job.
     let r = to_records(&gen(4242), PAYLOAD_BYTES);
     let s = to_records(&gen(2424), PAYLOAD_BYTES);
     let spec = JoinSpec::new(PAPER_BBOX, cfg.default_eps).with_partitions(cfg.partitions);
 
-    let (barrier, pairs_b) = time_exec_leg(ExecMode::Barrier, cfg.nodes, &spec, &r, &s, reps);
-    let (pipelined, pairs_p) = time_exec_leg(ExecMode::Pipelined, cfg.nodes, &spec, &r, &s, reps);
-    assert_eq!(
-        pairs_b, pairs_p,
-        "pipelined execution drifted from barrier results"
-    );
-    let join_checksum = checksum_pairs(&pairs_b);
-    assert_eq!(join_checksum, checksum_pairs(&pairs_p));
-
-    let mut crossover = Vec::new();
-    let mut sweep: Vec<usize> = vec![2, 4, cfg.nodes];
-    sweep.sort_unstable();
-    sweep.dedup();
-    for nodes in sweep {
-        let (b, cb) = time_exec_leg(ExecMode::Barrier, nodes, &spec, &r, &s, reps.min(2));
-        let (p, cp) = time_exec_leg(ExecMode::Pipelined, nodes, &spec, &r, &s, reps.min(2));
-        assert_eq!(cb, cp, "crossover at {nodes} nodes drifted");
-        crossover.push((
-            nodes,
-            b.wall_seconds,
-            p.wall_seconds,
-            b.sim_seconds,
-            p.sim_seconds,
-        ));
+    let cluster = Cluster::new(ClusterConfig::new(cfg.nodes));
+    let mut best_wall = f64::INFINITY;
+    let mut best_sim = f64::INFINITY;
+    let mut first: Option<Vec<(u64, u64)>> = None;
+    for _ in 0..reps {
+        let start = Instant::now();
+        let out = Algorithm::EpsGrid.run(&cluster, &spec, r.clone(), s.clone());
+        best_wall = best_wall.min(start.elapsed().as_secs_f64());
+        best_sim = best_sim.min(out.metrics.simulated_time().as_secs_f64());
+        let mut pairs = out.pairs;
+        pairs.sort_unstable();
+        match &first {
+            Some(prev) => assert_eq!(prev, &pairs, "join results drifted between reps"),
+            None => first = Some(pairs),
+        }
     }
-
-    let speedup = barrier.wall_seconds / pipelined.wall_seconds.max(1e-12);
-    let report = ExecModeReport {
+    let pairs = first.expect("reps >= 1");
+    let report = JoinPerfReport {
         records,
         nodes: cfg.nodes,
         partitions: cfg.partitions,
         reps,
-        pipelined_not_slower: pipelined.wall_seconds <= barrier.wall_seconds,
-        speedup,
-        join_checksum,
-        results: pairs_b.len() as u64,
-        barrier,
-        pipelined,
-        crossover,
+        wall_seconds: best_wall,
+        sim_seconds: best_sim,
+        join_checksum: checksum_pairs(&pairs),
+        results: pairs.len() as u64,
     };
 
-    let mut table = Table::new(vec!["leg", "wall (ms)", "sim (s)"]);
-    for leg in [&report.barrier, &report.pipelined] {
-        table.row(vec![
-            leg.mode.to_string(),
-            format!("{:.2}", leg.wall_seconds * 1e3),
-            format!("{:.3}", leg.sim_seconds),
-        ]);
-    }
+    let mut table = Table::new(vec!["wall (ms)", "sim (s)", "results"]);
+    table.row(vec![
+        format!("{:.2}", report.wall_seconds * 1e3),
+        format!("{:.3}", report.sim_seconds),
+        report.results.to_string(),
+    ]);
     table.print(&format!(
-        "exec-mode A/B — eps-grid, {} records × {} B payload, {} partitions, {} nodes",
+        "join perf — eps-grid, {} records × {} B payload, {} partitions, {} nodes",
         report.records, PAYLOAD_BYTES, report.partitions, report.nodes
     ));
-    println!(
-        "speedup (barrier/pipelined wall): {:.2}x   join checksum {:016x}",
-        report.speedup, report.join_checksum
-    );
-    let mut cross = Table::new(vec![
-        "nodes",
-        "barrier wall (ms)",
-        "pipelined wall (ms)",
-        "barrier sim (s)",
-        "pipelined sim (s)",
-    ]);
-    for (nodes, bw, pw, bs, ps) in &report.crossover {
-        cross.row(vec![
-            nodes.to_string(),
-            format!("{:.2}", bw * 1e3),
-            format!("{:.2}", pw * 1e3),
-            format!("{:.3}", bs),
-            format!("{:.3}", ps),
-        ]);
-    }
-    cross.print("sim-vs-wall crossover — wall and simulated time per exec mode and node count");
-    if !report.pipelined_not_slower {
-        eprintln!(
-            "warning: pipelined wall {:.2} ms > barrier {:.2} ms — noisy host?",
-            report.pipelined.wall_seconds * 1e3,
-            report.barrier.wall_seconds * 1e3
-        );
-    }
+    println!("join checksum {:016x}", report.join_checksum);
 
     let out = std::env::var("ASJ_BENCH_PERF_OUT").unwrap_or_else(|_| "BENCH_perf.json".to_string());
-    match std::fs::write(&out, render_exec_json(&report)) {
+    match std::fs::write(&out, render_join_json(&report)) {
         Ok(()) => println!("wrote {out}"),
         Err(e) => eprintln!("warning: could not write {out}: {e}"),
     }
@@ -721,19 +606,18 @@ mod tests {
     }
 
     #[test]
-    fn exec_mode_ab_runs_at_tiny_scale() {
+    fn join_perf_runs_at_tiny_scale() {
         let mut cfg = ExpConfig::quick().with_base(1200);
         cfg.nodes = 3;
         cfg.partitions = 8;
-        let dir = std::env::temp_dir().join("asj-exec-ab-test");
+        let dir = std::env::temp_dir().join("asj-join-perf-test");
         std::fs::create_dir_all(&dir).expect("temp dir");
         std::env::set_var("ASJ_BENCH_PERF_OUT", dir.join("BENCH_perf.json"));
-        let report = exec_mode_ab(&cfg);
+        let report = join_perf(&cfg);
         std::env::remove_var("ASJ_BENCH_PERF_OUT");
-        assert!(report.results > 0, "the A/B workload must produce pairs");
-        assert!(!report.crossover.is_empty());
+        assert!(report.results > 0, "the workload must produce pairs");
         let json = std::fs::read_to_string(dir.join("BENCH_perf.json")).expect("json written");
-        assert!(json.contains("\"experiment\": \"exec_mode_perf\""));
+        assert!(json.contains("\"experiment\": \"join_perf\""));
         assert!(json.contains("\"checksum_matches\": true"));
         assert!(json.contains("\"join_checksum\""));
     }

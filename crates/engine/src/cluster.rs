@@ -5,7 +5,6 @@ use crate::jobs::JobGate;
 use crate::journal::Journal;
 use crate::memory::MemoryAccountant;
 use crate::metrics::ExecStats;
-use crate::pipeline_exec::{run_pipelined, PipelineOccupancy};
 use crate::pool::{run_tasks_ft, try_run_tasks_traced};
 use asj_core::KernelCostModel;
 use asj_obs::Recorder;
@@ -32,30 +31,6 @@ impl ShuffleMode {
         match self {
             ShuffleMode::Radix => "radix",
             ShuffleMode::Legacy => "legacy",
-        }
-    }
-}
-
-/// How consecutive stages on this cluster hand partitions to each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Hard stage barrier: every upstream partition is materialized before
-    /// the downstream stage starts — the default.
-    #[default]
-    Barrier,
-    /// Streaming handoff: completed shuffle partitions flow to the consumer
-    /// stage through a bounded SPMC channel (see `pipeline_exec`), so the
-    /// join starts probing early cell groups while late stitch work is
-    /// still running. Changes wall time only — simulated-clock billing is
-    /// identical to barrier mode by construction.
-    Pipelined,
-}
-
-impl ExecMode {
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecMode::Barrier => "barrier",
-            ExecMode::Pipelined => "pipelined",
         }
     }
 }
@@ -139,9 +114,6 @@ pub struct Cluster {
     memory: Arc<MemoryAccountant>,
     /// Which shuffle materialization stages on this cluster use.
     shuffle_mode: ShuffleMode,
-    /// How consecutive stages hand partitions to each other (barrier vs
-    /// streaming pipelined handoff).
-    exec_mode: ExecMode,
     /// Lockstep stage gate, set only on per-job handles created by the
     /// [`JobServer`](crate::JobServer): every stage entry parks until the
     /// scheduler grants this job a quantum, and completed stages are billed
@@ -167,7 +139,6 @@ impl Cluster {
             buffers: Arc::new(BufferPool::new()),
             memory: Arc::new(MemoryAccountant::new(config.nodes, config.memory_budget)),
             shuffle_mode: ShuffleMode::default(),
-            exec_mode: ExecMode::default(),
             gate: None,
             checkpoint: None,
             config,
@@ -295,21 +266,6 @@ impl Cluster {
     #[inline]
     pub fn shuffle_mode(&self) -> ShuffleMode {
         self.shuffle_mode
-    }
-
-    /// Selects how stages on this handle hand partitions downstream.
-    /// [`ExecMode::Pipelined`] streams completed shuffle partitions into the
-    /// consumer stage through a bounded channel instead of a stage barrier;
-    /// results and simulated-clock billing are identical in both modes.
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
-        self
-    }
-
-    /// The active cross-stage execution mode.
-    #[inline]
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
     }
 
     /// The cluster-lifetime [`BufferPool`] radix shuffles draw from.
@@ -566,86 +522,6 @@ impl Cluster {
         result
     }
 
-    /// Runs a produce→consume pipeline as one stage: `produce(i)` assembles
-    /// partition `i`'s input (unbilled driver-equivalent work, run
-    /// concurrently on the worker pool) and `consume(i, m)` — the stage's
-    /// task body, billed to `placement[i]` exactly like a barrier-mode task
-    /// — starts as soon as that partition is ready, without waiting for the
-    /// rest. `capacity` bounds assembled-but-unconsumed partitions so
-    /// pipelining cannot defeat the memory governor's spill accounting.
-    ///
-    /// Observes the same stage-gate, fault-recovery and billing contracts as
-    /// [`Cluster::try_run_placed_stage`]; see `pipeline_exec` for the
-    /// exactly-once delivery and sim-clock guarantees.
-    pub(crate) fn try_run_pipelined_stage<M, R, P, C>(
-        &self,
-        stage: &str,
-        placement: &[usize],
-        capacity: usize,
-        produce: P,
-        consume: C,
-    ) -> Result<(Vec<R>, ExecStats, PipelineOccupancy), JobError>
-    where
-        M: Send + Sync + Clone,
-        R: Send,
-        P: Fn(usize) -> M + Sync,
-        C: Fn(usize, M) -> R + Sync,
-    {
-        self.try_run_pipelined_stage_seeded(
-            stage,
-            placement,
-            capacity,
-            Vec::new(),
-            None,
-            produce,
-            consume,
-        )
-    }
-
-    /// [`Cluster::try_run_pipelined_stage`] with the partition-granular
-    /// checkpoint hooks threaded through: `recovered` pre-seeds partitions
-    /// already durable from a crashed run (skipped producers, zero re-billed
-    /// sim time, zero attempts) and `on_commit` fires exactly once per live
-    /// partition as its billed consumer commits — see `pipeline_exec`.
-    #[allow(clippy::too_many_arguments)] // executor entry point: each knob is load-bearing
-    pub(crate) fn try_run_pipelined_stage_seeded<M, R, P, C>(
-        &self,
-        stage: &str,
-        placement: &[usize],
-        capacity: usize,
-        recovered: Vec<Option<R>>,
-        on_commit: Option<crate::pipeline_exec::CommitHook<'_, R>>,
-        produce: P,
-        consume: C,
-    ) -> Result<(Vec<R>, ExecStats, PipelineOccupancy), JobError>
-    where
-        M: Send + Sync + Clone,
-        R: Send,
-        P: Fn(usize) -> M + Sync,
-        C: Fn(usize, M) -> R + Sync,
-    {
-        if let Some(gate) = &self.gate {
-            gate.pause();
-        }
-        let result = run_pipelined(
-            self.config.threads,
-            self.config.nodes,
-            placement,
-            &self.recorder,
-            stage,
-            self.faults.as_deref(),
-            capacity,
-            recovered,
-            on_commit,
-            produce,
-            consume,
-        );
-        if let (Some(gate), Ok((_, stats, _))) = (&self.gate, &result) {
-            gate.note_stage(stats);
-        }
-        result
-    }
-
     /// [`Cluster::run_placed_stage`] for stages whose per-task result is a
     /// `(records, accumulator)` pair of [`Wire`] types — the shape of the
     /// partition-local join phase. When a checkpoint store is attached, the
@@ -684,23 +560,7 @@ impl Cluster {
                 self.recorder().counter_add(stage, "stages_recovered", 1);
                 return (parts, stats);
             }
-            Ok(_) => {}
-            Err(_) => {}
-        }
-        // Cross-format fallback: a pipelined run of the same job persists
-        // this stage as partition-granular commit records instead of one
-        // stage-granular manifest. A *complete* set replays exactly like a
-        // stage hit, so barrier recovery composes with pipelined-written
-        // checkpoints (and vice versa — see the pipelined probe).
-        if !tasks.is_empty() {
-            if let Ok(parts) = ck.store().load_join_parts::<Rec, Acc>(&key, tasks.len()) {
-                if let Some(parts) = parts.into_iter().collect::<Option<Vec<_>>>() {
-                    let stats = self.note_recovered_stage();
-                    ck.store().note_recovered();
-                    self.recorder().counter_add(stage, "stages_recovered", 1);
-                    return (parts, stats);
-                }
-            }
+            _ => {}
         }
         let (out, stats) = self.run_placed_stage(stage, tasks, placement, f);
         if let Ok(bytes) = ck.store().save_join(&key, &out) {
@@ -833,31 +693,6 @@ mod tests {
         assert_eq!(out, vec![5]);
         assert_eq!(stats.retries, 1);
         assert_eq!(stats.failed_attempts, 1);
-    }
-
-    #[test]
-    fn exec_mode_defaults_to_barrier_and_is_configurable() {
-        let c = Cluster::new(ClusterConfig::with_threads(2, 2));
-        assert_eq!(c.exec_mode(), ExecMode::Barrier);
-        assert_eq!(c.exec_mode().name(), "barrier");
-        let c = c.with_exec_mode(ExecMode::Pipelined);
-        assert_eq!(c.exec_mode(), ExecMode::Pipelined);
-        assert_eq!(c.exec_mode().name(), "pipelined");
-    }
-
-    #[test]
-    fn pipelined_stage_runs_and_bills_like_a_placed_stage() {
-        let r = Recorder::for_nodes(2);
-        let c = Cluster::new(ClusterConfig::with_threads(2, 2)).with_recorder(r.clone());
-        let placement: Vec<usize> = (0..6).map(|i| i % 2).collect();
-        let (out, stats, occ) = c
-            .try_run_pipelined_stage("piped", &placement, 2, |i| i as u64, |_, m: u64| m * 2)
-            .expect("pipelined stage succeeds");
-        assert_eq!(out, vec![0, 2, 4, 6, 8, 10]);
-        assert_eq!(occ.handoffs, 6);
-        let sim: std::time::Duration = (0..2).map(|n| r.node_sim_total(n)).sum();
-        assert_eq!(sim, stats.total_busy());
-        assert_eq!(r.counter_value("piped", "pipeline_handoffs"), Some(6));
     }
 
     #[test]

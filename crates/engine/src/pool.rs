@@ -52,18 +52,18 @@ where
 /// counter, or via a compare-exchange on a per-index flag), and that reads of
 /// the final values happen only after all writer threads have been joined
 /// (the `thread::scope` exit provides the necessary happens-before edge).
-pub(crate) struct Slots<V>(pub(crate) Vec<UnsafeCell<Option<V>>>);
+struct Slots<V>(Vec<UnsafeCell<Option<V>>>);
 
 unsafe impl<V: Send> Sync for Slots<V> {}
 
 impl<V> Slots<V> {
-    pub(crate) fn filled(values: impl Iterator<Item = V>, hint: usize) -> Self {
+    fn filled(values: impl Iterator<Item = V>, hint: usize) -> Self {
         let mut v = Vec::with_capacity(hint);
         v.extend(values.map(|x| UnsafeCell::new(Some(x))));
         Slots(v)
     }
 
-    pub(crate) fn empty(n: usize) -> Self {
+    fn empty(n: usize) -> Self {
         Slots((0..n).map(|_| UnsafeCell::new(None)).collect())
     }
 
@@ -71,7 +71,7 @@ impl<V> Slots<V> {
     ///
     /// # Safety
     /// `idx` must be exclusively owned by the calling thread (see type docs).
-    pub(crate) unsafe fn take(&self, idx: usize) -> Option<V> {
+    unsafe fn take(&self, idx: usize) -> Option<V> {
         (*self.0[idx].get()).take()
     }
 
@@ -79,13 +79,13 @@ impl<V> Slots<V> {
     ///
     /// # Safety
     /// `idx` must be exclusively owned by the calling thread (see type docs).
-    pub(crate) unsafe fn put(&self, idx: usize, v: V) {
+    unsafe fn put(&self, idx: usize, v: V) {
         *self.0[idx].get() = Some(v);
     }
 }
 
 /// Renders a caught panic payload for [`TaskError::Panic`].
-pub(crate) fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -96,7 +96,7 @@ pub(crate) fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Scales a measured duration by a slowdown multiplier.
-pub(crate) fn scale_dur(d: Duration, mult: f64) -> Duration {
+fn scale_dur(d: Duration, mult: f64) -> Duration {
     if mult <= 1.0 {
         d
     } else {
@@ -104,7 +104,7 @@ pub(crate) fn scale_dur(d: Duration, mult: f64) -> Duration {
     }
 }
 
-pub(crate) fn empty_stats(nodes: usize, wall_start: Instant) -> ExecStats {
+fn empty_stats(nodes: usize, wall_start: Instant) -> ExecStats {
     ExecStats {
         per_node_busy: vec![Duration::ZERO; nodes],
         wall: wall_start.elapsed(),

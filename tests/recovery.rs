@@ -9,10 +9,10 @@
 //! grants, not wall time), so every case in the sweep is reproducible.
 
 use adaptive_spatial_join::engine::{
-    Cluster, ClusterConfig, ExecMode, FaultPlan, Journal, RetryPolicy, SchedPolicy,
+    CheckpointStore, Cluster, ClusterConfig, FaultPlan, Journal, RetryPolicy, SchedPolicy,
+    ShuffleStats,
 };
-use adaptive_spatial_join::geom::{Point, Rect};
-use adaptive_spatial_join::join::{to_records, Algorithm, JoinSpec};
+use adaptive_spatial_join::join::Algorithm;
 use adaptive_spatial_join::serve::{run_queue, run_queue_recoverable, RecoveryOptions, TenantSpec};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -330,206 +330,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The recovery sweep under the *pipelined* executor: a server killed at
-    /// ANY grant boundary during a pipelined checkpointed run and restarted
-    /// (still pipelined) must serve every tenant byte-identically to the
-    /// uncrashed **barrier** oracle — the two modes are sim-identical, so
-    /// even the journaled grant prefix must match across modes — and must
-    /// replay journaled results at zero re-run stages / zero attempts.
-    #[test]
-    fn pipelined_crash_points_recover_byte_identically_to_barrier(
-        tenants in prop::collection::vec(tenant_strategy(), 2..4),
-        nodes in 2usize..4,
-        crash_pick in any::<u64>(),
-        case in any::<u64>(),
-    ) {
-        let specs = materialize(&tenants);
-        let oracle = run_queue(&cluster(nodes), &specs, SchedPolicy::FairShare)
-            .expect("barrier oracle");
-        prop_assert!(oracle.grants.len() >= 2, "queue too small to crash");
-        let crash_at = 1 + crash_pick % (oracle.grants.len() as u64 - 1);
-        let dir = scratch("pipe-sweep", case);
-        let journal = dir.join("server.journal");
-
-        let crash_cluster = cluster(nodes)
-            .with_exec_mode(ExecMode::Pipelined)
-            .with_fault_policy(
-                FaultPlan::none().with_crash_after_grants(crash_at),
-                RetryPolicy::default(),
-            );
-        let crashed = run_queue_recoverable(
-            &crash_cluster,
-            &specs,
-            SchedPolicy::FairShare,
-            &RecoveryOptions {
-                journal: Some(journal.clone()),
-                checkpoint_dir: Some(dir.clone()),
-                recover: false,
-                compact_every: None,
-            },
-        )
-        .expect("crashing pipelined run");
-        prop_assert!(crashed.crashed, "crash clause must fire");
-        // Write-ahead invariant holds across modes: the pipelined journal
-        // prefix is exactly the barrier oracle's grant-log prefix.
-        prop_assert_eq!(
-            &crashed.grants[..],
-            &oracle.grants[..crash_at as usize],
-            "pipelined crashed grant log must be a barrier-oracle prefix"
-        );
-
-        let recovered = run_queue_recoverable(
-            &cluster(nodes).with_exec_mode(ExecMode::Pipelined),
-            &specs,
-            SchedPolicy::FairShare,
-            &RecoveryOptions {
-                journal: Some(journal),
-                checkpoint_dir: Some(dir.clone()),
-                recover: true,
-                compact_every: None,
-            },
-        )
-        .expect("recovered pipelined run");
-        prop_assert!(!recovered.crashed);
-        prop_assert_eq!(
-            &recovered.journal_grants[..],
-            &oracle.grants[..crash_at as usize],
-            "recovery must preserve the journaled grant prefix"
-        );
-        for (a, b) in oracle.tenants.iter().zip(&recovered.tenants) {
-            prop_assert_eq!(
-                a.outcome.as_ref().expect("oracle ok"),
-                b.outcome.as_ref().expect("recovered ok"),
-                "tenant '{}' must recover byte-identically across modes", a.name
-            );
-        }
-        for report in &recovered.tenants {
-            if report.recovered {
-                prop_assert_eq!(report.stages, 0, "replayed tenant re-ran stages");
-                prop_assert_eq!(report.attempts, 0, "replayed tenant re-ran tasks");
-            }
-        }
-
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    /// A crash that lands *mid-stage*: a fail-point with no retry budget
-    /// aborts the pipelined join after some partitions have already
-    /// committed their partition-granular records. The restarted run must
-    /// pre-seed exactly the committed partitions (its join stage attempts
-    /// only the missing ones, the committed ones are re-billed zero sim
-    /// time) and produce byte-identical output to the uncrashed barrier
-    /// oracle; a second restart finds the whole seam durable and re-runs
-    /// nothing at all.
-    #[test]
-    fn mid_stage_pipelined_crash_replays_committed_partitions(
-        seed in 0u64..500,
-        fail_task in 0usize..6,
-        case in any::<u64>(),
-    ) {
-        let spec = JoinSpec::new(Rect::new(0.0, 0.0, 10.0, 10.0), 0.4)
-            .with_partitions(6)
-            .with_seed(seed);
-        let points = |salt: u64, n: usize| -> Vec<Point> {
-            (0..n)
-                .map(|i| {
-                    let x = ((i as u64 * 37 + seed * 3 + salt) % 1000) as f64 / 100.0;
-                    let y = ((i as u64 * 53 + seed * 7 + salt * 11) % 1000) as f64 / 100.0;
-                    Point::new(x, y)
-                })
-                .collect()
-        };
-        let r = to_records(&points(1, 240), 0);
-        let s = to_records(&points(2, 200), 0);
-        let oracle = Algorithm::EpsGrid.run(&cluster(3), &spec, r.clone(), s.clone());
-
-        let dir = scratch("pipe-midstage", case);
-        let crash = cluster(3)
-            .with_exec_mode(ExecMode::Pipelined)
-            .with_checkpoint_dir(&dir)
-            .expect("checkpoint dir")
-            .with_fault_policy(
-                FaultPlan::none().with_fail_point("cogroup_join", fail_task, 1),
-                RetryPolicy::default().with_max_attempts(1),
-            );
-        let aborted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Algorithm::EpsGrid.run(&crash, &spec, r.clone(), s.clone())
-        }));
-        prop_assert!(aborted.is_err(), "exhausted fail point must abort the join mid-stage");
-        // Whatever partitions committed before the abort are durable as
-        // partition-granular records (`…-p{N}.manifest`).
-        let committed: Vec<u64> = std::fs::read_dir(&dir)
-            .expect("read scratch")
-            .flatten()
-            .filter_map(|e| {
-                let name = e.file_name().to_string_lossy().into_owned();
-                let key = name.strip_suffix(".manifest")?;
-                if !key.contains("cogroup_join") {
-                    return None;
-                }
-                key.rsplit_once("-p")?.1.parse::<u64>().ok()
-            })
-            .collect();
-        prop_assert!(
-            !committed.contains(&(fail_task as u64)),
-            "the failed partition must not have committed"
-        );
-
-        // First restart: recomputes only the missing partitions. The trace
-        // proves the recovered ones are re-billed zero sim time — they get
-        // no task span at all, so nothing lands on any node's sim lane.
-        let recorder = adaptive_spatial_join::obs::Recorder::for_nodes(3);
-        let rec = cluster(3)
-            .with_recorder(recorder.clone())
-            .with_exec_mode(ExecMode::Pipelined)
-            .with_checkpoint_dir(&dir)
-            .expect("checkpoint dir");
-        let out = Algorithm::EpsGrid.run(&rec, &spec, r.clone(), s.clone());
-        prop_assert_eq!(&out.pairs, &oracle.pairs, "recovered pairs must match the barrier oracle");
-        prop_assert_eq!(out.result_count, oracle.result_count);
-        prop_assert_eq!(out.candidates, oracle.candidates);
-        prop_assert_eq!(
-            out.metrics.join.attempts,
-            (6 - committed.len()) as u64,
-            "committed partitions must be re-billed zero attempts"
-        );
-        let rerun: Vec<u64> = recorder
-            .snapshot()
-            .spans
-            .iter()
-            .filter(|sp| sp.stage == "cogroup_join" && sp.partition.is_some())
-            .map(|sp| sp.partition.expect("filtered"))
-            .collect();
-        prop_assert_eq!(rerun.len(), 6 - committed.len(), "one task span per missing partition");
-        for p in &committed {
-            prop_assert!(
-                !rerun.contains(p),
-                "recovered partition {} must not be re-run (zero re-billed sim time)", p
-            );
-        }
-
-        // Second restart: the whole shuffle→join seam is durable now, so the
-        // join re-runs nothing — zero attempts, zero sim time.
-        let rec2 = cluster(3)
-            .with_exec_mode(ExecMode::Pipelined)
-            .with_checkpoint_dir(&dir)
-            .expect("checkpoint dir");
-        let out2 = Algorithm::EpsGrid.run(&rec2, &spec, r, s);
-        prop_assert_eq!(&out2.pairs, &oracle.pairs);
-        prop_assert_eq!(out2.metrics.join.attempts, 0, "fully recovered join must attempt nothing");
-        prop_assert_eq!(
-            out2.metrics.join.total_busy(),
-            std::time::Duration::ZERO,
-            "fully recovered join must be re-billed zero sim time"
-        );
-
-        let _ = std::fs::remove_dir_all(dir);
-    }
-}
-
 /// Copies every regular file directly under `src` into `dst` (the journal
 /// plus the checkpoint manifests/segments — exactly what a crashed server
 /// leaves durable).
@@ -630,4 +430,158 @@ fn late_crash_resumes_from_checkpoints() {
         );
     }
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A checkpoint dir written by an older build can still hold per-partition
+/// `{key}-p{N}` join records and manifest-only `{key}-shuffle` stats records.
+/// No stage reads those keys: recovery must resume exactly as it does from
+/// the same dir without them, serve byte-identical results, and the per-job
+/// retention GC must still delete them.
+#[test]
+fn old_partition_and_stats_records_are_ignored_and_collected() {
+    let specs = materialize(&[
+        GenTenant {
+            algo_idx: 0,
+            cardinality: 400,
+            eps: 0.5,
+            seed: 11,
+            weight: 1,
+            fault_idx: 0,
+            fault_seed: 0,
+        },
+        GenTenant {
+            algo_idx: 4,
+            cardinality: 300,
+            eps: 0.4,
+            seed: 23,
+            weight: 2,
+            fault_idx: 0,
+            fault_seed: 0,
+        },
+        GenTenant {
+            algo_idx: 2,
+            cardinality: 250,
+            eps: 0.4,
+            seed: 5,
+            weight: 1,
+            fault_idx: 0,
+            fault_seed: 0,
+        },
+    ]);
+    let oracle = run_queue(&cluster(3), &specs, SchedPolicy::FairShare).expect("oracle");
+    let crash_at = (oracle.grants.len() as u64 / 2).max(1);
+    let crashed_dir = scratch("old-records-crash", 0);
+    let crashed = run_queue_recoverable(
+        &cluster(3).with_fault_policy(
+            FaultPlan::none().with_crash_after_grants(crash_at),
+            RetryPolicy::default(),
+        ),
+        &specs,
+        SchedPolicy::FairShare,
+        &RecoveryOptions {
+            journal: Some(crashed_dir.join("server.journal")),
+            checkpoint_dir: Some(crashed_dir.clone()),
+            recover: false,
+            compact_every: None,
+        },
+    )
+    .expect("crashing run");
+    assert!(crashed.crashed);
+
+    // Two copies of the crashed state: a control, and one seeded with the
+    // old record shapes for every job's first join stage. The seeded join
+    // records carry wrong pairs and a wrong result count, so reading any of
+    // them would change the recovered outcome.
+    let recover_from = |tag: &str, seed_old_records: bool| {
+        let dir = scratch(tag, 0);
+        copy_dir_files(&crashed_dir, &dir);
+        let mut seeded: Vec<String> = Vec::new();
+        if seed_old_records {
+            let store = CheckpointStore::open(&dir).expect("open store");
+            // (u64, u64, u64) x 2 + (u64, u64): the 8-word wire shape of the
+            // join stage's per-partition tally.
+            type Tally = ((u64, u64, u64), (u64, u64, u64), (u64, u64));
+            for (job, spec) in specs.iter().enumerate() {
+                let key = format!("job{job}-cogroup_join-0");
+                for part in 0..spec.partitions {
+                    let record: (Vec<(u64, u64)>, Tally) = (
+                        vec![(u64::MAX, u64::MAX)],
+                        ((1, 1_000_000, 1), (0, 0, 0), (0, 0)),
+                    );
+                    let part_key = format!("{key}-p{part}");
+                    store
+                        .save_join(&part_key, std::slice::from_ref(&record))
+                        .expect("seed partition record");
+                    seeded.push(part_key);
+                }
+                let stats_key = format!("{key}-shuffle");
+                store
+                    .save::<u64, u64>(&stats_key, &[], &ShuffleStats::default())
+                    .expect("seed stats record");
+                seeded.push(stats_key);
+            }
+        }
+        let recovered = run_queue_recoverable(
+            &cluster(3),
+            &specs,
+            SchedPolicy::FairShare,
+            &RecoveryOptions {
+                journal: Some(dir.join("server.journal")),
+                checkpoint_dir: Some(dir.clone()),
+                recover: true,
+                compact_every: None,
+            },
+        )
+        .expect("recovered run");
+        assert!(!recovered.crashed);
+        (dir, seeded, recovered)
+    };
+    let (control_dir, _, control) = recover_from("old-records-control", false);
+    let (dir, seeded, recovered) = recover_from("old-records-seeded", true);
+
+    assert_eq!(recovered.stages_recovered, control.stages_recovered);
+    assert_eq!(recovered.journal_grants, control.journal_grants);
+    assert_eq!(recovered.grants, control.grants);
+    for ((o, c), r) in oracle
+        .tenants
+        .iter()
+        .zip(&control.tenants)
+        .zip(&recovered.tenants)
+    {
+        assert_eq!(
+            r.attempts, c.attempts,
+            "tenant '{}' re-ran different work",
+            o.name
+        );
+        assert_eq!(r.recovered, c.recovered);
+        assert_eq!(
+            o.outcome.as_ref().expect("oracle ok"),
+            r.outcome.as_ref().expect("recovered ok"),
+            "tenant '{}' must recover byte-identically",
+            o.name
+        );
+    }
+
+    // Jobs that completed in the recovery leg were collected by the server's
+    // retention GC; jobs replayed from the journal never re-run, so collect
+    // their scopes explicitly. Either way, no seeded record survives.
+    let store = CheckpointStore::open(&dir).expect("reopen store");
+    for (job, tenant) in recovered.tenants.iter().enumerate() {
+        if tenant.recovered {
+            assert!(store.gc_scope(&format!("job{job}")).expect("gc") > 0);
+        }
+    }
+    for key in &seeded {
+        assert!(
+            !dir.join(format!("{key}.manifest")).exists(),
+            "{key}.manifest survived GC"
+        );
+        assert!(
+            !dir.join(format!("{key}.seg")).exists(),
+            "{key}.seg survived GC"
+        );
+    }
+    for d in [crashed_dir, control_dir, dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }
