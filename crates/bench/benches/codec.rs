@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the data-movement hot paths the radix shuffle leans
 //! on: `Wire` encode/decode of join records and the columnar
-//! [`PointBatch`](asj_index::PointBatch) build the join kernels consume.
+//! [`PointBatch`](asj_index::PointBatch) builds the join kernels consume
+//! (one side alone, and both sides co-grouped as the local join runs it).
 
 use asj_data::{DatasetSpec, GenKind, PAPER_BBOX};
 use asj_engine::Wire;
@@ -68,6 +69,23 @@ fn bench_codec(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("groups", groups), &keyed, |b, keyed| {
             b.iter(|| black_box(PointBatch::from_keyed(keyed, |r| r.point, |r| r.id)))
         });
+    }
+    // The local join's build: 50K records per side, co-grouped at once. S
+    // spreads over twice R's keys, so half of its cells have no R partner
+    // and are never gathered.
+    for groups in [16u64, 1024] {
+        let side = |seed_groups: u64| -> Vec<(u64, Record)> {
+            records(50_000, 0)
+                .into_iter()
+                .map(|r| (r.id % seed_groups, r))
+                .collect()
+        };
+        let pair = (side(groups), side(2 * groups));
+        group.bench_with_input(
+            BenchmarkId::new("co_grouped", groups),
+            &pair,
+            |b, (r, s)| b.iter(|| black_box(PointBatch::co_grouped(r, s, |r| r.point, |r| r.id))),
+        );
     }
     group.finish();
 }

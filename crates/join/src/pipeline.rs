@@ -148,42 +148,30 @@ where
     // committed with the task output: shared atomics here would be
     // double-counted by retried or speculatively re-executed tasks.
     //
-    // Each task converts its two shuffled partitions into columnar
-    // `PointBatch`es once — the permutation sort groups records by cell in
-    // ascending-x order and gathers `x`/`y`/`id` into flat lanes — then
-    // merges the ascending key lists and runs the SoA kernel per common
-    // cell, streaming contiguous memory instead of re-extracting positions
-    // per group.
+    // Each task co-groups its two shuffled partitions into columnar
+    // `PointBatch`es once: both sides are radix-sorted on the cell key and
+    // only the cells both sides occupy (the only ones Algorithm 5 joins)
+    // are gathered, each group's `x`/`y`/`id` lanes in ascending-x order.
+    // Group `g` of the two batches shares one key, so the SoA kernel runs
+    // per group, streaming contiguous memory.
     type CellGroup = Vec<(u64, Record)>;
     let body = |_: usize, (rs, ss): (CellGroup, CellGroup)| {
-        let pos = |r: &Record| r.point;
-        let rid = |r: &Record| r.id;
-        let br = PointBatch::from_keyed(&rs, pos, rid);
-        let bs = PointBatch::from_keyed(&ss, pos, rid);
+        let (br, bs) = PointBatch::co_grouped(&rs, &ss, |r: &Record| r.point, |r: &Record| r.id);
         let mut out: Vec<(u64, u64)> = Vec::new();
         let mut acc = KernelTally {
             batches: 2,
             batch_points: (br.num_points() + bs.num_points()) as u64,
             ..KernelTally::default()
         };
-        let (mut gi, mut gj) = (0usize, 0usize);
-        while gi < br.num_groups() && gj < bs.num_groups() {
-            match br.keys()[gi].cmp(&bs.keys()[gj]) {
-                std::cmp::Ordering::Less => gi += 1,
-                std::cmp::Ordering::Greater => gj += 1,
-                std::cmp::Ordering::Equal => {
-                    let (va, vb) = (br.group(gi), bs.group(gj));
-                    let (ids_a, ids_b) = (br.group_ids(gi), bs.group_ids(gj));
-                    let outcome = kernels::local_join_view(kernel, &model, eps, va, vb, |i, j| {
-                        if collect {
-                            out.push((ids_a[i], ids_b[j]));
-                        }
-                    });
-                    acc.record(outcome, va.len() as u64 * vb.len() as u64);
-                    gi += 1;
-                    gj += 1;
+        for g in 0..br.num_groups() {
+            let (va, vb) = (br.group(g), bs.group(g));
+            let (ids_a, ids_b) = (br.group_ids(g), bs.group_ids(g));
+            let outcome = kernels::local_join_view(kernel, &model, eps, va, vb, |i, j| {
+                if collect {
+                    out.push((ids_a[i], ids_b[j]));
                 }
-            }
+            });
+            acc.record(outcome, va.len() as u64 * vb.len() as u64);
         }
         (out, acc)
     };
@@ -217,7 +205,7 @@ where
         cluster.run_placed_stage_checkpointed("cogroup_join", tasks, &placement, body)
     });
     let mut tally = KernelTally::default();
-    let mut pairs = Vec::new();
+    let mut pairs = Vec::with_capacity(folded.iter().map(|(part, _)| part.len()).sum());
     for (part, t) in folded {
         tally.merge(&t);
         pairs.extend(part);
@@ -245,9 +233,10 @@ pub(crate) struct KernelTally {
     pub picks_nl: u64,
     pub picks_ps: u64,
     pub picks_bucket: u64,
-    /// Columnar batches built at shuffle-receive time.
+    /// Columnar batches built at shuffle-receive time (two per partition).
     pub batches: u64,
-    /// Points gathered into those batches' SoA lanes.
+    /// Points gathered into those batches' SoA lanes: only the points in
+    /// cells both sides occupy.
     pub batch_points: u64,
 }
 
@@ -406,6 +395,113 @@ mod tests {
         assert_eq!(out_ps.result_count, 1);
         assert_eq!(out_ps.pairs, vec![(0, 0)]);
         assert_eq!(out_ps.candidates, 1, "sweep window must prune");
+    }
+
+    /// `join_stage` on keyed inputs against two references: the R-tree
+    /// oracle for results and pairs, and per-side `from_keyed` batches
+    /// joined by a key merge over the same shuffled partitions for the
+    /// candidates, so `Auto` must have seen the same cell groups.
+    fn check_against_references(
+        c: &Cluster,
+        spec: &JoinSpec,
+        (r, s): (&[Record], &[Record]),
+        (kr, ks): (KeyedDataset<u64, Record>, KeyedDataset<u64, Record>),
+        what: &str,
+    ) {
+        let partitioner = HashPartitioner::new(8);
+        let out = join_stage(c, spec, kr.clone(), ks.clone(), &partitioner);
+
+        let (kr, _, _) = kr.shuffle(c, &partitioner);
+        let (ks, _, _) = ks.shuffle(c, &partitioner);
+        let model = c.kernel_cost_model(kernels::calibrate_cost_model);
+        let (mut candidates, mut results, mut pairs) = (0, 0, Vec::new());
+        for (pr, ps) in kr.into_partitions().iter().zip(&ks.into_partitions()) {
+            let br = PointBatch::from_keyed(pr, |r: &Record| r.point, |r: &Record| r.id);
+            let bs = PointBatch::from_keyed(ps, |r: &Record| r.point, |r: &Record| r.id);
+            for (gi, key) in br.keys().iter().enumerate() {
+                let Ok(gj) = bs.keys().binary_search(key) else {
+                    continue;
+                };
+                let (ids_a, ids_b) = (br.group_ids(gi), bs.group_ids(gj));
+                let outcome = kernels::local_join_view(
+                    spec.kernel,
+                    &model,
+                    spec.eps,
+                    br.group(gi),
+                    bs.group(gj),
+                    |i, j| pairs.push((ids_a[i], ids_b[j])),
+                );
+                candidates += outcome.stats.candidates;
+                results += outcome.stats.results;
+            }
+        }
+        pairs.sort_unstable();
+        let mut got = out.pairs.clone();
+        got.sort_unstable();
+        assert_eq!(got, crate::oracle::rtree_pairs(r, s, spec.eps), "{what}");
+        assert_eq!(got, pairs, "{what}");
+        assert_eq!(out.result_count, results, "{what}");
+        assert_eq!(out.result_count as usize, got.len(), "{what}");
+        assert_eq!(out.candidates, candidates, "{what}");
+    }
+
+    #[test]
+    fn join_stage_matches_oracles_for_lpib_and_uni_r() {
+        use asj_core::{AgreementGraph, GridSample, SetLabel};
+        use asj_grid::{CellCoord, Grid, GridSpec};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let c = cluster();
+        let spec = JoinSpec::new(Rect::new(0.0, 0.0, 20.0, 20.0), 0.6);
+        let grid = Grid::new(GridSpec::with_factor(spec.bbox, spec.eps, spec.grid_factor));
+        for seed in [3u64, 17, 101] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut points = |n: usize| -> Vec<Point> {
+                // A dense corner next to a sparse field: cells with one side
+                // only, and cells where `Auto` picks different kernels.
+                (0..n)
+                    .map(|i| {
+                        let side = if i % 3 == 0 { 4.0 } else { 20.0 };
+                        Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side))
+                    })
+                    .collect()
+            };
+            let r = crate::to_records(&points(700), 0);
+            let s = crate::to_records(&points(500), 0);
+            let keyed = |recs: &[Record], assign: &(dyn Fn(Point, &mut Vec<u64>) + Sync)| {
+                let ds = Dataset::from_vec(recs.to_vec(), 4);
+                map_stage(&c, ds, |p, cells, _| assign(p, cells)).0
+            };
+
+            let sample = GridSample::from_points(
+                &grid,
+                r.iter().map(|rec| rec.point),
+                s.iter().map(|rec| rec.point),
+            );
+            let graph = AgreementGraph::build(&grid, &sample, AgreementPolicy::Lpib);
+            let lpib = |label: SetLabel| {
+                let (graph, grid) = (&graph, &grid);
+                move |p: Point, cells: &mut Vec<u64>| {
+                    let mut coords = Vec::new();
+                    graph.assign(p, label, &mut coords);
+                    cells.extend(coords.iter().map(|&c| grid.cell_index(c) as u64));
+                }
+            };
+            let inputs = (keyed(&r, &lpib(SetLabel::R)), keyed(&s, &lpib(SetLabel::S)));
+            check_against_references(&c, &spec, (&r, &s), inputs, &format!("LPiB seed {seed}"));
+
+            let replicated = |p: Point, cells: &mut Vec<u64>| {
+                let mut coords: Vec<CellCoord> = vec![grid.cell_of(p)];
+                grid.push_cells_within_eps(p, &mut coords);
+                cells.extend(coords.iter().map(|&c| grid.cell_index(c) as u64));
+            };
+            let single = |p: Point, cells: &mut Vec<u64>| {
+                cells.push(grid.cell_index(grid.cell_of(p)) as u64);
+            };
+            let inputs = (keyed(&r, &replicated), keyed(&s, &single));
+            check_against_references(&c, &spec, (&r, &s), inputs, &format!("UNI(R) seed {seed}"));
+        }
     }
 
     #[test]
